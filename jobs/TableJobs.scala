@@ -5,16 +5,16 @@ import org.apache.spark.sql.SparkSession
 import repro.cleaning.BaranParams
 import repro.core.{PowerWeight, Sparcle, SparcleParams, SpatialRange}
 import repro.data.Datasets
-import repro.eval.{Metrics, Runner, TableFmt, Tables}
+import repro.eval.{Metrics, Runner, TableFmt, Tables, Timing}
 
 /** Table 1 — NYC-Crash borough repair recall (total / duplicated / new). */
 object Table1Job {
   def main(args: Array[String]): Unit = {
     implicit val spark: SparkSession = Jobs.session("sparcle-table1")
     val scale = args.headOption.map(_.toDouble).getOrElse(1.0)
-    val (t, sec) = Jobs.timed(Tables.table1(scale))
+    val (t, sec) = Timing.timed(Tables.table1(scale))
     println(Tables.renderTable1(t))
-    println(f"[table1] done in ${Jobs.fmtTime(sec)}")
+    println(f"[table1] done in ${Timing.fmtTime(sec)}")
     spark.stop()
   }
 }
@@ -89,10 +89,13 @@ object ParamSweepJob {
     val pts = ds.points("census").persist()
     val truth = ds.truthFor("census")
     val rows = for (d <- Seq(250.0, 500.0, 1000.0, 2000.0); w <- Seq(0.0, 2.0, 4.0, 16.0)) yield {
-      val ((repairs, sec)) = Jobs.timed(
-        Sparcle.clean(pts, SparcleParams(SpatialRange(d, PowerWeight(w)))).repairs)
-      val s = Metrics.score(pts, truth, repairs)
-      Seq(d.toInt.toString, w.toInt.toString, TableFmt.f3(s.f1), Jobs.fmtTime(sec))
+      val ((repairs, collected), sec) = Timing.timed {
+        val r = Sparcle.clean(pts, SparcleParams(SpatialRange(d, PowerWeight(w)))).repairs
+        (r, r.collect())
+      }
+      val s = Metrics.score(pts, truth,
+        spark.createDataFrame(java.util.Arrays.asList(collected: _*), repairs.schema))
+      Seq(d.toInt.toString, w.toInt.toString, TableFmt.f3(s.f1), Timing.fmtTime(sec))
     }
     println(TableFmt.render(Seq("d", "n", "F1", "time"), rows))
     spark.stop()

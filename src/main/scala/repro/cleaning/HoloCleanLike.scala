@@ -1,7 +1,6 @@
 package repro.cleaning
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.core._
 
@@ -29,23 +28,7 @@ import repro.core._
 object HoloCleanLike {
 
   def clean(points: DataFrame, candGen: CandGenParams = CandGenParams()): SparcleResult = {
-    val base = Sparcle.clean(points, SparcleParams(ExactLocation, candGen))
-
-    // Modal-value fallback for detected cells that produced no repair and no
-    // candidates (isolated missing values).
-    val modalRow = points.where(col("value").isNotNull)
-      .groupBy("value").agg(count(lit(1)).as("cnt"))
-      .orderBy(col("cnt").desc, col("value").asc)
-      .limit(1).collect()
-    if (modalRow.isEmpty) return base // fully-null column: nothing to impute
-    val modal = modalRow.head.getString(0)
-
-    val unhandledNulls = points.where(col("value").isNull).select("id")
-      .join(base.repairs.select("id"), Seq("id"), "left_anti")
-      .join(base.candidates.select("id").distinct(), Seq("id"), "left_anti")
-    val fallback = unhandledNulls.select(
-      col("id"), lit(null).cast("string").as("oldValue"), lit(modal).as("newValue"))
-
-    base.copy(repairs = base.repairs.unionByName(fallback))
+    val stats = ValueStats.of(points)
+    Sparcle.run(points, SparcleParams(ExactLocation, candGen), stats, fallback = stats.modal)
   }
 }

@@ -64,10 +64,7 @@ object PaperExample {
   }
 
   /** Fig. 3b as a [[ValueStats]] for Phase 2. */
-  def stats(spark: SparkSession): ValueStats = {
-    import spark.implicits._
-    ValueStats(ValueFreq.toDF("value", "cntV"), Total)
-  }
+  val Stats: ValueStats = ValueStats(ValueFreq.toMap, Total)
 
   /** Run detector + candidate generator + formulators over the fixture. */
   def run(spark: SparkSession,
@@ -75,7 +72,7 @@ object PaperExample {
     val pts = points(spark)
     val dm = distanceMatrix(spark)
     val err = SpatialErrorDetector.erroneousCells(pts, dm)
-    val cand = SpatialCandidateGenerator.generate(pts, dm, err, params, stats = Some(stats(spark)))
+    val cand = SpatialCandidateGenerator.generate(pts, dm, err, params, stats = Some(Stats))
     val scored = SpatialInputFormulator.allFormats(cand.candidates, dm)
     (err, cand, scored)
   }

@@ -18,9 +18,12 @@ final case class SparcleParams(
     keepOriginalMargin: Double = 0.25,
 )
 
-/** Everything a run produces, for inspection by tests and benches.
+/** Everything a run produces, for inspection by tests and benches. Every
+  * frame is lazy and nothing is persisted: collecting `repairs` runs the
+  * spatial join, one histogram aggregation and one per-cell pass.
   *
-  * @param dm         the DistanceMatrix
+  * @param dm         the DistanceMatrix (a debug and oracle view; the
+  *                   pipeline reads its histogram, not the matrix)
   * @param erroneous  cell ids flagged by the spatial error detector
   * @param candidates post-cutoff candidate lists with all formulator scores
   * @param labels     Phase-3 auto-labels
@@ -50,21 +53,52 @@ final case class SparcleResult(
   * r2 → S. Island, all others keep their original value). Phase-3 labels
   * take precedence, matching the paper's "safely moved to the clean list"
   * semantics.
+  *
+  * Execution: the spatial join's output is aggregated once into the
+  * neighbour-value histogram ([[Histogram]]), and one pass partitioned by
+  * cell derives the detector's verdict, Phases 1–3, the formulator scores
+  * and the corrector's choice from it. The layer functions
+  * (`SpatialErrorDetector.erroneousCells`, `SpatialCandidateGenerator.generate`,
+  * `SpatialInputFormulator.allFormats`, [[repairsFrom]]) are views over the
+  * same code, taking the DistanceMatrix as their input.
   */
 object Sparcle {
 
-  def clean(points: DataFrame, params: SparcleParams): SparcleResult = {
-    val dm = DistanceMatrix.build(points, params.constraint).persist()
-    dm.count()
+  /** Candidate columns plus the formulator scores, as in `SparcleResult.candidates`. */
+  private val ScoredColumns =
+    SpatialCandidateGenerator.CandidateColumns ++ Seq("totalW", "viol", "p", "fg")
 
-    val erroneous = SpatialErrorDetector.erroneousCells(points, dm).persist()
-    erroneous.count()
+  def clean(points: DataFrame, params: SparcleParams): SparcleResult =
+    run(points, params, ValueStats.of(points), fallback = None)
 
-    val cand = SpatialCandidateGenerator.generate(points, dm, erroneous, params.candGen)
-    val scored = SpatialInputFormulator.allFormats(cand.candidates, dm)
+  /** The pipeline with the corpus statistics given.
+    *
+    * @param fallback the host's value for detected cells without any
+    *                 candidate (isolated null cells), or None to leave them
+    *                 unrepaired
+    */
+  private[repro] def run(points: DataFrame, params: SparcleParams, stats: ValueStats,
+                         fallback: Option[String]): SparcleResult = {
+    val dm = DistanceMatrix.build(points, params.constraint)
+    val hist = Histogram.withOwn(dm, points)
+    val scored = SpatialInputFormulator.scores(
+      SpatialCandidateGenerator.perCell(points, hist, stats, params.candGen))
 
-    val repairs = repairsFrom(points, erroneous, scored, cand.labels, params.keepOriginalMargin)
-    SparcleResult(dm, erroneous, scored, cand.labels, repairs)
+    val changes = choose(scored, params.keepOriginalMargin)
+      .where(col("detected"))
+      .select(col("id"), col("v1").as("oldValue"), col("newValue"))
+      .where(changed)
+    val repairs = fallback.fold(changes) { v =>
+      // Detected cells without any candidate: null cells whose neighbours
+      // are all null or absent.
+      val bare = points.where(col("value").isNull).select("id").join(scored, Seq("id"), "left_anti")
+      changes.unionByName(
+        bare.select(col("id"), lit(null).cast("string").as("oldValue"), lit(v).as("newValue")))
+    }
+
+    val erroneous = SpatialErrorDetector.erroneousCells(points, dm)
+    val cand = SpatialCandidateGenerator.restrict(scored, erroneous, ScoredColumns)
+    SparcleResult(dm, erroneous, cand.candidates, cand.labels, repairs)
   }
 
   /** Pick the final value per erroneous cell and keep only actual changes.
@@ -78,30 +112,32 @@ object Sparcle {
   def repairsFrom(points: DataFrame, erroneous: DataFrame,
                   scoredCandidates: DataFrame, labels: DataFrame,
                   margin: Double = 0.25): DataFrame = {
-    val byCell = Window.partitionBy("id")
-      .orderBy(col("viol").asc, col("normProb").desc, col("value").asc)
-    val best = scoredCandidates
-      .withColumn("pick", row_number().over(byCell))
-      .where(col("pick") === 1)
-      .select(col("id"), col("value").as("bestValue"), col("viol").as("bestViol"),
-              col("totalW"))
-    val origRow = scoredCandidates.where(col("isOrig"))
-      .select(col("id"), col("value").as("origCand"), col("viol").as("origViol"))
-    val picked = best.join(origRow, Seq("id"), "left")
-      .select(col("id"),
-        when(col("origCand").isNotNull &&
-             col("origViol") - col("bestViol") <= lit(margin) * col("totalW"),
-             col("origCand"))
-          .otherwise(col("bestValue")).as("chosen"))
-    val chosen = picked
-      .join(labels.withColumnRenamed("label", "labelValue"), Seq("id"), "full_outer")
-      .select(col("id"), coalesce(col("labelValue"), col("chosen")).as("newValue"))
-
+    val chosen = choose(scoredCandidates.join(labels, Seq("id"), "left"), margin)
     points.select(col("id"), col("value").as("oldValue"))
       .join(erroneous, Seq("id"))
-      .join(chosen, Seq("id"))
-      .where(col("oldValue").isNull || col("oldValue") =!= col("newValue"))
+      .join(chosen.select("id", "newValue"), Seq("id"))
+      .where(changed)
       .select("id", "oldValue", "newValue")
+  }
+
+  private val changed = col("oldValue").isNull || col("oldValue") =!= col("newValue")
+
+  /** The corrector over scored candidate rows carrying their cell's `label`:
+    * one row per cell — its least-violating candidate — with `newValue`.
+    */
+  private def choose(scored: DataFrame, margin: Double): DataFrame = {
+    val byCell = Window.partitionBy("id")
+    val byViol = byCell.orderBy(col("viol").asc, col("normProb").desc, col("value").asc)
+    scored
+      .withColumn("origValue", max(when(col("isOrig"), col("value"))).over(byCell))
+      .withColumn("origViol", max(when(col("isOrig"), col("viol"))).over(byCell))
+      .withColumn("pick", row_number().over(byViol))
+      .where(col("pick") === 1)
+      .withColumn("newValue", coalesce(col("label"),
+        when(col("origValue").isNotNull &&
+             col("origViol") - col("viol") <= lit(margin) * col("totalW"),
+             col("origValue"))
+          .otherwise(col("value"))))
   }
 
   /** Apply repairs to the input: returns `id, x, y, value` with repaired

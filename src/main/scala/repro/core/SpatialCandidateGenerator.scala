@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -38,16 +38,36 @@ final case class CandGenParams(
 final case class CandidateResult(candidates: DataFrame, labels: DataFrame, remaining: DataFrame)
 
 /** Corpus-level statistics backing Phase 2: the value-frequency table
-  * Count(v, D) (columns `value`, `cntV`) and the dataset size |D| (Fig. 3b).
-  * By default they are derived from the input points; tests reproducing the
-  * paper's worked example inject the paper's figures directly.
+  * Count(v, D) and the dataset size |D| (Fig. 3b). By default they come from
+  * one small collected aggregation over the input points; tests reproducing
+  * the paper's worked example inject the paper's figures directly.
   */
-final case class ValueStats(freq: DataFrame, total: Long)
+final case class ValueStats(counts: Map[String, Long], total: Long) {
+
+  /** Count(v, D) as a local frame of `value`, `cntV`, for a broadcast join. */
+  def freq(spark: SparkSession): DataFrame = {
+    import spark.implicits._
+    counts.toSeq.toDF("value", "cntV")
+  }
+
+  /** The most frequent value (ties: the smallest), if any value is non-null. */
+  def modal: Option[String] =
+    if (counts.isEmpty) None else Some(counts.minBy { case (v, n) => (-n, v) }._1)
+}
+
+object ValueStats {
+  def of(points: DataFrame): ValueStats = {
+    val rows = points.groupBy("value").count().collect()
+    ValueStats(
+      rows.collect { case r if !r.isNullAt(0) => r.getString(0) -> r.getLong(1) }.toMap,
+      rows.map(_.getLong(1)).sum)
+  }
+}
 
 /** Spatial candidate generator (§4, Algorithm 2).
   *
-  * Phase 1 relaxes exact co-occurrence to nearby co-occurrence over the
-  * DistanceMatrix and counts it as a distance-weighted sum. Phase 2 scores
+  * Phase 1 relaxes exact co-occurrence to nearby co-occurrence and counts it
+  * as a distance-weighted sum — the neighbour-value histogram. Phase 2 scores
   * each candidate with the spatially-relaxed Naive-Bayes estimate
   * `Prob(C=v) = |Spatial(v,R)|/|D| × Π_{A'} Count((v,R.A'),D)/Count(v,D)`,
   * where the record-identifier attribute contributes 1/Count(v,D) for the
@@ -56,7 +76,11 @@ final case class ValueStats(freq: DataFrame, total: Long)
   */
 object SpatialCandidateGenerator {
 
-  /** Generate candidates for the erroneous cells.
+  /** Columns of [[CandidateResult.candidates]]. */
+  val CandidateColumns: Seq[String] = Seq("id", "value", "nearW", "isOrig", "sumW", "prob", "normProb")
+
+  /** Generate candidates for the erroneous cells: [[perCell]] over the
+    * histogram of `dm`, restricted to `erroneous`.
     *
     * @param points     input records: `id, x, y, value`
     * @param dm         DistanceMatrix of the governing spatial constraint
@@ -71,38 +95,40 @@ object SpatialCandidateGenerator {
   def generate(points: DataFrame, dm: DataFrame, erroneous: DataFrame,
                params: CandGenParams = CandGenParams(),
                extraAttrs: Seq[DataFrame] = Nil,
-               stats: Option[ValueStats] = None): CandidateResult = {
-    val total = stats.map(_.total).getOrElse(points.count())
-    require(total > 0, "cannot generate candidates over an empty dataset")
-    val err = erroneous.select("id")
+               stats: Option[ValueStats] = None): CandidateResult =
+    restrict(
+      perCell(points, Histogram.withOwn(dm, points), stats.getOrElse(ValueStats.of(points)),
+              params, extraAttrs),
+      erroneous)
 
-    // ---- Phase 1: initial candidates = nearby co-occurrences + original value.
-    val nearby = dm
-      .join(err.withColumnRenamed("id", "r1"), Seq("r1"))
-      .where(col("v2").isNotNull)
-      .groupBy(col("r1").as("id"), col("v2").as("value"))
-      .agg(sum("w").as("nearW"))
-    val orig = points.join(err, Seq("id"))
+  /** Phases 1–3 for every cell of `hist` (built by [[Histogram.withOwn]]) in
+    * one pass partitioned by `id`, erroneous or not: a cell's candidates
+    * depend only on its own histogram rows.
+    *
+    * One row per candidate kept by the MinProb cutoff, for every cell with at
+    * least one candidate. Columns: [[CandidateColumns]] plus `v1` (the cell's
+    * own value), `totalW` (its total neighbour weight), `detected` (the
+    * detector's verdict), `rk` (rank by normProb) and `label` (its Phase-3
+    * label, or null).
+    */
+  def perCell(points: DataFrame, hist: DataFrame, stats: ValueStats, params: CandGenParams,
+              extraAttrs: Seq[DataFrame] = Nil): DataFrame = {
+    val byCell = Window.partitionBy("id")
+    val byProb = byCell.orderBy(col("normProb").desc, col("value"))
+
+    // ---- Phase 1: nearby co-occurrences plus the original value.
+    val phase1 = hist
       .where(col("value").isNotNull)
-      .select(col("id"), col("value"), lit(true).as("origRow"))
-    val merged = nearby
-      .join(orig, Seq("id", "value"), "full_outer")
-      .select(
-        col("id"), col("value"),
-        coalesce(col("nearW"), lit(0.0)).as("nearW"),
-        coalesce(col("origRow"), lit(false)).as("isOrig"),
-      )
+      .withColumn("nearW", coalesce(col("nearW"), lit(0.0)))
+      .withColumn("isOrig", col("value") <=> col("v1"))
       .withColumn("sumW", when(col("nearW") > 0, col("nearW")).otherwise(lit(params.defaultWeight)))
 
     // ---- Phase 2: Naive-Bayes probability with the spatial term.
-    val freq = stats.map(_.freq).getOrElse(
-      points.where(col("value").isNotNull)
-        .groupBy(col("value")).agg(count(lit(1)).as("cntV")))
-    var scored = merged
-      .join(freq, Seq("value"), "left")
+    var scored = phase1
+      .join(broadcast(stats.freq(points.sparkSession)), Seq("value"), "left")
       .withColumn("cntV", coalesce(col("cntV"), lit(1L)))
       .withColumn("prob",
-        (col("sumW") / lit(total.toDouble)) *
+        (col("sumW") / lit(stats.total.toDouble)) *
         (when(col("isOrig"), lit(1.0)).otherwise(lit(params.minimalityBias)) / col("cntV")))
 
     // Generic A' factors: Count((v, R.A'), D)/Count(v, D) with minimality
@@ -122,30 +148,29 @@ object SpatialCandidateGenerator {
         .drop(aCol, s"cooc_$i")
     }
 
-    // ---- Phase 3: normalize, MinProb cutoff, MaxProb labeling.
-    val byCell = Window.partitionBy("id")
-    val normed = scored
-      .withColumn("normProb", col("prob") / sum(col("prob")).over(byCell))
-      .withColumn("rk", row_number().over(
-        Window.partitionBy("id").orderBy(col("normProb").desc, col("value"))))
-    // Never drop a cell's best candidate, even if all are < MinProb.
-    val kept = normed
+    // ---- Phase 3: normalize, MinProb cutoff (never dropping a cell's best
+    // candidate), MaxProb labeling. totalW is taken before the cutoff: it
+    // sums every neighbour value, as the formulators require.
+    scored
+      .withColumn("totalW", sum("nearW").over(byCell))
+      .withColumn("detected", SpatialErrorDetector.detected(byCell))
+      .withColumn("normProb", col("prob") / sum("prob").over(byCell))
+      .withColumn("rk", row_number().over(byProb))
       .where(col("normProb") >= params.minProb || col("rk") === 1)
-      .persist()
-    kept.count()
+      .withColumn("label",
+        when(count(lit(1)).over(byCell) === 1 || max("normProb").over(byCell) > params.maxProb,
+             max(when(col("rk") === 1, col("value"))).over(byCell)))
+  }
 
-    val cellStats = kept.groupBy("id").agg(
-      count(lit(1)).as("nCand"),
-      max(col("normProb")).as("topProb"),
-    )
-    val topValue = kept.where(col("rk") === 1).select(col("id"), col("value").as("label"))
-    val labels = cellStats
-      .where(col("nCand") === 1 || col("topProb") > params.maxProb)
-      .join(topValue, Seq("id"))
-      .select("id", "label")
-    val remaining = err.join(labels, Seq("id"), "left_anti")
-
-    val candidates = kept.select("id", "value", "nearW", "isOrig", "sumW", "prob", "normProb")
-    CandidateResult(candidates, labels, remaining)
+  /** The generator's outputs for the cells in `erroneous`, from [[perCell]]'s
+    * rows; the candidates keep `columns`.
+    */
+  def restrict(cells: DataFrame, erroneous: DataFrame,
+               columns: Seq[String] = CandidateColumns): CandidateResult = {
+    val err = erroneous.select("id")
+    val mine = cells.join(err, Seq("id"), "left_semi")
+    val labels = mine.where(col("rk") === 1 && col("label").isNotNull).select("id", "label")
+    CandidateResult(mine.select(columns.map(col): _*), labels,
+                    err.join(labels, Seq("id"), "left_anti"))
   }
 }

@@ -6,10 +6,10 @@ import org.apache.spark.sql.functions._
 /** Spatial input formulators (§5): translate Sparcle's candidate evidence
   * into the input format of the host system's error-correction module.
   *
-  * All three formats derive from two aggregates over the DistanceMatrix:
-  * `nearW(id, v)` — the summed weight of rows where the cell's neighbors
-  * carry value v (carried on the candidates frame) — and `totalW(id)` — the
-  * cell's total neighbor weight. For a candidate v of cell id:
+  * All three formats derive from the neighbour-value histogram:
+  * `nearW(id, v)` — the summed weight of the cell's neighbors carrying value
+  * v (carried on the candidates frame) — and `totalW(id)` — the cell's total
+  * neighbor weight. For a candidate v of cell id:
   *
   *  - AimNet violation score (§5.1):      viol = totalW − nearW(v)   (lower is better)
   *  - Baran probability vector (§5.2):    p    = nearW(v) / totalW   (higher is better)
@@ -22,45 +22,29 @@ import org.apache.spark.sql.functions._
   */
 object SpatialInputFormulator {
 
-  /** Total neighbor weight per cell: Σ w over DistanceMatrix rows of r1 with
-    * a non-null neighbor value. Columns: `id`, `totalW`.
+  /** Total neighbor weight per cell: Σ nearW over the cell's histogram rows,
+    * i.e. Σ w over DistanceMatrix rows of r1 with a non-null neighbor value.
+    * Columns: `id`, `totalW`.
     */
   def totalWeights(dm: DataFrame): DataFrame =
-    dm.where(col("v2").isNotNull)
-      .groupBy(col("r1").as("id"))
-      .agg(sum("w").as("totalW"))
+    Histogram.of(dm).groupBy("id").agg(sum("nearW").as("totalW"))
 
-  private def withTotal(candidates: DataFrame, dm: DataFrame): DataFrame =
-    candidates.join(totalWeights(dm), Seq("id"), "left")
-      .withColumn("totalW", coalesce(col("totalW"), lit(0.0)))
-
-  /** Violation-based feature vectors for AimNet (§5.1, Fig. 4a).
-    * Columns: candidates ++ (`totalW`, `viol`).
+  /** All three host formats for candidate rows carrying `nearW` and `totalW`:
+    * adds `viol` (AimNet, §5.1, Fig. 4a), `p` (Baran, §5.2, Fig. 4b; 0 for a
+    * candidate with no proximity co-occurrence) and `fg` (HoloClean/MLNClean,
+    * §5.3, Fig. 4c).
     */
-  def violationVectors(candidates: DataFrame, dm: DataFrame): DataFrame =
-    withTotal(candidates, dm).withColumn("viol", col("totalW") - col("nearW"))
-
-  /** Probability-based feature vectors for Baran (§5.2, Fig. 4b).
-    * Candidates with no proximity co-occurrence get probability 0.
-    * Columns: candidates ++ (`totalW`, `p`).
-    */
-  def probabilityVectors(candidates: DataFrame, dm: DataFrame): DataFrame =
-    withTotal(candidates, dm).withColumn("p",
-      when(col("totalW") > 0, col("nearW") / col("totalW")).otherwise(lit(0.0)))
-
-  /** Weighted factor-graph sums for HoloClean/MLNClean (§5.3, Fig. 4c).
-    * Columns: candidates ++ (`totalW`, `fg`).
-    */
-  def factorGraph(candidates: DataFrame, dm: DataFrame): DataFrame =
-    withTotal(candidates, dm).withColumn("fg", lit(2.0) * col("nearW") - col("totalW"))
-
-  /** All three host formats in one pass (shares the totalW join).
-    * Columns: candidates ++ (`totalW`, `viol`, `p`, `fg`).
-    */
-  def allFormats(candidates: DataFrame, dm: DataFrame): DataFrame =
-    withTotal(candidates, dm)
+  def scores(candidates: DataFrame): DataFrame =
+    candidates
       .withColumn("viol", col("totalW") - col("nearW"))
       .withColumn("p",
         when(col("totalW") > 0, col("nearW") / col("totalW")).otherwise(lit(0.0)))
       .withColumn("fg", lit(2.0) * col("nearW") - col("totalW"))
+
+  /** [[scores]] for candidates of the DistanceMatrix `dm`.
+    * Columns: candidates ++ (`totalW`, `viol`, `p`, `fg`).
+    */
+  def allFormats(candidates: DataFrame, dm: DataFrame): DataFrame =
+    scores(candidates.join(totalWeights(dm), Seq("id"), "left")
+      .withColumn("totalW", coalesce(col("totalW"), lit(0.0))))
 }

@@ -135,31 +135,24 @@ object Tables {
                              baran: Either[String, Double])
 
   def timeSystems(ds: SpatialDataset, d: Double): Table6Row = {
-    def timed(f: => Unit): Double = {
-      val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1e9
-    }
-    val sparcleT = timed {
+    val (_, sparcleT) = Timing.timed {
       ds.attrs.foreach(a => Runner.sparcleRepairs(ds, a, d, n = 2).count())
     }
-    val holoT = timed {
+    val (_, holoT) = Timing.timed {
       ds.attrs.foreach(a => Runner.holoRepairs(ds, a).count())
     }
-    val baranT: Either[String, Double] = {
-      val t0 = System.nanoTime()
-      val failures = ds.attrs.map(a => Runner.baranRepairs(ds, a).map(_.count()))
+    val (failure, baranT) = Timing.timed {
+      ds.attrs.map(a => Runner.baranRepairs(ds, a).map(_.count()))
         .collectFirst { case Left(m) => m }
-      failures.toLeft((System.nanoTime() - t0) / 1e9)
     }
-    Table6Row(ds.name, sparcleT, holoT, baranT)
+    Table6Row(ds.name, sparcleT, holoT, failure.toLeft(baranT))
   }
 
   def renderTable6(rows: Seq[Table6Row]): String = {
-    def fmt(s: Double): String = {
-      val m = (s / 60).toInt
-      f"${m}m${s - m * 60}%04.1fs"
-    }
+    import Timing.fmtTime
     TableFmt.render(
       Seq("Dataset", "Sparcle", "HoloClean", "Baran"),
-      rows.map(r => Seq(r.dataset, fmt(r.sparcleSec), fmt(r.holoSec), r.baran.fold(identity, fmt))))
+      rows.map(r => Seq(r.dataset, fmtTime(r.sparcleSec), fmtTime(r.holoSec),
+                        r.baran.fold(identity, fmtTime))))
   }
 }

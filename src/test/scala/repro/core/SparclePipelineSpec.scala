@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestPoints}
+import repro.cleaning.HoloCleanLike
 import repro.data.{AttrSpec, DatasetSpec, SpatialSynth}
 import repro.eval.Metrics
 import repro.geo.{Extent, RegionMap}
@@ -111,5 +112,42 @@ class SparclePipelineSpec extends SparkSpec {
     val r = Sparcle.clean(pts, SparcleParams(SpatialRange(100)))
     assert(r.erroneous.count() == 0)
     assert(r.repairs.count() == 0)
+  }
+
+  test("kNN: a cell flagged only as a conflict's r2 is erroneous and labeled with its own value") {
+    // k = 1: a and b are each other's nearest neighbour and agree; c's nearest
+    // neighbour is b, and the conflict (c, b) flags b only from c's side.
+    val pts = TestPoints.df(spark,
+      Seq((1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "a"), (3L, 3.0, 0.0, "b")))
+    val r = Sparcle.clean(pts, SparcleParams(SpatialKnn(1, PowerWeight(2), 1, 100)))
+    assert(r.erroneous.as[Long].collect().toSet == Set(2L, 3L))
+    val labels = r.labels.collect().map(l => l.getLong(0) -> l.getString(1)).toMap
+    assert(labels.get(2L).contains("a"))
+    assert(r.candidates.where($"id" === 2L).select("value").as[String].collect().toSeq == Seq("a"))
+    assert(r.repairs.where($"id" === 2L).count() == 0)
+  }
+
+  test("empty input yields empty outputs") {
+    val pts = TestPoints.df(spark, Seq.empty)
+    for (c <- Seq(SpatialRange(100), ExactLocation, SpatialKnn(3))) {
+      val r = Sparcle.clean(pts, SparcleParams(c))
+      assert(r.repairs.count() == 0)
+      assert(r.erroneous.count() == 0)
+    }
+    assert(HoloCleanLike.clean(pts).repairs.count() == 0)
+  }
+
+  test("clean leaves no persisted RDDs behind") {
+    val sc = spark.sparkContext
+    val pts = smallDataset.points("region")
+    def leaves(run: => SparcleResult): Set[Int] = {
+      val before = sc.getPersistentRDDs.keySet.toSet
+      val r = run
+      Seq(r.repairs, r.erroneous, r.candidates, r.labels).foreach(_.collect())
+      sc.getPersistentRDDs.keySet.toSet -- before
+    }
+    assert(leaves(Sparcle.clean(pts, SparcleParams(SpatialRange(700, PowerWeight(2))))).isEmpty)
+    assert(leaves(Sparcle.clean(pts, SparcleParams(ExactLocation))).isEmpty)
+    assert(leaves(HoloCleanLike.clean(pts)).isEmpty)
   }
 }
