@@ -18,24 +18,40 @@ import repro.spatialjoin.{KnnJoin, RangeJoin}
 object DistanceMatrix {
 
   /** Build the DistanceMatrix for `points` (contract: id, x, y, value)
-    * under `constraint`.
+    * under `constraint`: [[neighbours]] without the cell key and the self
+    * pairs.
     */
-  def build(points: DataFrame, constraint: SpatialConstraint): DataFrame = constraint match {
-    case SpatialRange(d, w) =>
-      RangeJoin.pairs(points, d)
-        .withColumn("w", w.expr(col("dist"), lit(d)))
-        .select("r1", "r2", "v1", "v2", "dist", "w")
+  def build(points: DataFrame, constraint: SpatialConstraint): DataFrame =
+    of(neighbours(points, constraint))
 
-    case SpatialKnn(k, w, r0, rMax) =>
-      // dk = 0 happens only when all k neighbors sit at the exact same
-      // location; they are perfect co-occurrences, so weight 1.
-      KnnJoin.pairs(points, k, r0, rMax)
-        .withColumn("w", when(col("dk") === 0.0, lit(1.0)).otherwise(w.expr(col("dist"), col("dk"))))
-        .select("r1", "r2", "v1", "v2", "dist", "w")
+  /** The DistanceMatrix view of a [[neighbours]] relation. */
+  private[repro] def of(neighbours: DataFrame): DataFrame =
+    neighbours.where(col("r1") =!= col("r2")).select("r1", "r2", "v1", "v2", "dist", "w")
 
-    case ExactLocation =>
-      RangeJoin.exactPairs(points)
-        .withColumn("w", lit(1.0))
-        .select("r1", "r2", "v1", "v2", "dist", "w")
-  }
+  /** The relation `Sparcle.clean` aggregates: the DistanceMatrix plus each
+    * record's pair with itself (`r1 = r2`, `dist` 0), which carries the
+    * record's own value. Range and exact-location joins also keep their cell
+    * key `(cx, cy)` and come hash-partitioned by it; the kNN join has no key.
+    */
+  private[repro] def neighbours(points: DataFrame, constraint: SpatialConstraint): DataFrame =
+    constraint match {
+      case SpatialRange(d, w) =>
+        RangeJoin.cellPairs(points, d).withColumn("w", w.expr(col("dist"), lit(d)))
+      case ExactLocation =>
+        RangeJoin.locationPairs(points).withColumn("w", lit(1.0))
+      case SpatialKnn(k, w, r0, rMax) =>
+        // dk = 0 happens only when all k neighbors sit at the exact same
+        // location; they are perfect co-occurrences, so weight 1.
+        KnnJoin.pairs(points, k, r0, rMax)
+          .withColumn("w", when(col("dk") === 0.0, lit(1.0)).otherwise(w.expr(col("dist"), col("dk"))))
+          .select("r1", "r2", "v1", "v2", "dist", "w")
+          .unionByName(selfPairs(points))
+    }
+
+  /** Each record's pair with itself, in the DistanceMatrix schema, with a
+    * null weight.
+    */
+  private[repro] def selfPairs(points: DataFrame): DataFrame =
+    points.select(col("id").as("r1"), col("id").as("r2"), col("value").as("v1"),
+                  col("value").as("v2"), lit(0.0).as("dist"), lit(null).cast("double").as("w"))
 }

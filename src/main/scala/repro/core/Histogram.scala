@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** The neighbour-value histogram (§3.3–§5):
@@ -17,23 +17,29 @@ import org.apache.spark.sql.functions._
 object Histogram {
 
   /** `SELECT r1 AS id, v1, v2 AS value, SUM(w) AS nearW FROM dm
-    * WHERE v2 IS NOT NULL GROUP BY 1, 2, 3`.
+    * WHERE v2 IS NOT NULL GROUP BY 1, 2, 3`, over the DistanceMatrix or over
+    * [[DistanceMatrix.neighbours]]. A record's pair with itself adds its own
+    * value's row without weight (a null `nearW` when no neighbour carries
+    * that value), or, for a null cell, one row with a null `value`, so every
+    * record has a row. A cell key `(cx, cy)` of the input is kept and leads
+    * the grouping, so the join's partitioning is reused.
     */
-  def of(dm: DataFrame): DataFrame = aggregate(neighbours(dm))
+  def of(dm: DataFrame): DataFrame =
+    dm.where(col("v2").isNotNull || col("r1") === col("r2"))
+      .groupBy(cellKey(dm) ++ Seq(col("r1").as("id"), col("v1"), col("v2").as("value")): _*)
+      .agg(sum(when(col("r1") =!= col("r2"), col("w"))).as("nearW"))
 
-  /** [[of]] plus, for every non-null cell of `points`, a row for its own
-    * value, with a null `nearW` when no neighbour carries that value. The
-    * per-cell pass thereby sees each cell's original value as a Phase-1
-    * candidate.
+  /** [[of]] over the DistanceMatrix `dm` plus each non-null cell's row for
+    * its own value: the rows the pipeline's relation carries as self pairs.
     */
   def withOwn(dm: DataFrame, points: DataFrame): DataFrame =
-    aggregate(neighbours(dm).unionByName(points.where(col("value").isNotNull).select(
-      col("id"), col("value").as("v1"), col("value"), lit(null).cast("double").as("w"))))
+    of(dm.unionByName(DistanceMatrix.selfPairs(points.where(col("value").isNotNull))))
 
-  private def neighbours(dm: DataFrame): DataFrame =
-    dm.where(col("v2").isNotNull)
-      .select(col("r1").as("id"), col("v1"), col("v2").as("value"), col("w"))
+  /** The columns identifying a cell's rows in a frame derived from [[of]]:
+    * the join's cell key, when present, and `id`.
+    */
+  def cell(df: DataFrame): Seq[Column] = cellKey(df) :+ col("id")
 
-  private def aggregate(rows: DataFrame): DataFrame =
-    rows.groupBy("id", "v1", "value").agg(sum("w").as("nearW"))
+  private def cellKey(df: DataFrame): Seq[Column] =
+    Seq("cx", "cy").filter(df.columns.contains).map(col)
 }

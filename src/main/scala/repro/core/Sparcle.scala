@@ -54,10 +54,13 @@ final case class SparcleResult(
   * take precedence, matching the paper's "safely moved to the clean list"
   * semantics.
   *
-  * Execution: the spatial join's output is aggregated once into the
-  * neighbour-value histogram ([[Histogram]]), and one pass partitioned by
-  * cell derives the detector's verdict, Phases 1–3, the formulator scores
-  * and the corrector's choice from it. The layer functions
+  * Execution: the spatial join's output, each record's pair with itself
+  * included, is aggregated once into the neighbour-value histogram
+  * ([[Histogram]]), and one pass partitioned by cell derives the detector's
+  * verdict, Phases 1–3, the formulator scores and the corrector's choice
+  * from it. The histogram and the pass group by the join's cell key and the
+  * record id, which the join's hash partitioning already satisfies: the join
+  * is the call's only shuffle. The layer functions
   * (`SpatialErrorDetector.erroneousCells`, `SpatialCandidateGenerator.generate`,
   * `SpatialInputFormulator.allFormats`, [[repairsFrom]]) are views over the
   * same code, taking the DistanceMatrix as their input.
@@ -79,23 +82,20 @@ object Sparcle {
     */
   private[repro] def run(points: DataFrame, params: SparcleParams, stats: ValueStats,
                          fallback: Option[String]): SparcleResult = {
-    val dm = DistanceMatrix.build(points, params.constraint)
-    val hist = Histogram.withOwn(dm, points)
+    val neighbours = DistanceMatrix.neighbours(points, params.constraint)
+    val hist = Histogram.of(neighbours)
     val scored = SpatialInputFormulator.scores(
       SpatialCandidateGenerator.perCell(points, hist, stats, params.candGen))
 
-    val changes = choose(scored, params.keepOriginalMargin)
+    // A detected cell without any candidate — a null cell whose neighbours
+    // are all null or absent — takes the fallback.
+    val repairs = choose(scored, params.keepOriginalMargin)
       .where(col("detected"))
-      .select(col("id"), col("v1").as("oldValue"), col("newValue"))
-      .where(changed)
-    val repairs = fallback.fold(changes) { v =>
-      // Detected cells without any candidate: null cells whose neighbours
-      // are all null or absent.
-      val bare = points.where(col("value").isNull).select("id").join(scored, Seq("id"), "left_anti")
-      changes.unionByName(
-        bare.select(col("id"), lit(null).cast("string").as("oldValue"), lit(v).as("newValue")))
-    }
+      .select(col("id"), col("v1").as("oldValue"),
+              coalesce(col("newValue"), lit(fallback.orNull)).as("newValue"))
+      .where(col("newValue").isNotNull && changed)
 
+    val dm = DistanceMatrix.of(neighbours)
     val erroneous = SpatialErrorDetector.erroneousCells(points, dm)
     val cand = SpatialCandidateGenerator.restrict(scored, erroneous, ScoredColumns)
     SparcleResult(dm, erroneous, cand.candidates, cand.labels, repairs)
@@ -123,10 +123,11 @@ object Sparcle {
   private val changed = col("oldValue").isNull || col("oldValue") =!= col("newValue")
 
   /** The corrector over scored candidate rows carrying their cell's `label`:
-    * one row per cell — its least-violating candidate — with `newValue`.
+    * one row per cell — its least-violating candidate — with `newValue`
+    * (null for a cell without candidates).
     */
   private def choose(scored: DataFrame, margin: Double): DataFrame = {
-    val byCell = Window.partitionBy("id")
+    val byCell = Window.partitionBy(Histogram.cell(scored): _*)
     val byViol = byCell.orderBy(col("viol").asc, col("normProb").desc, col("value").asc)
     scored
       .withColumn("origValue", max(when(col("isOrig"), col("value"))).over(byCell))

@@ -1,8 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.collection.mutable
+
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StringType
 
 /** Parameters of the candidate generation process (§4).
   *
@@ -39,16 +42,15 @@ final case class CandidateResult(candidates: DataFrame, labels: DataFrame, remai
 
 /** Corpus-level statistics backing Phase 2: the value-frequency table
   * Count(v, D) and the dataset size |D| (Fig. 3b). By default they come from
-  * one small collected aggregation over the input points; tests reproducing
-  * the paper's worked example inject the paper's figures directly.
+  * one shuffle-free pass over the input points; tests reproducing the
+  * paper's worked example inject the paper's figures directly.
   */
 final case class ValueStats(counts: Map[String, Long], total: Long) {
 
-  /** Count(v, D) as a local frame of `value`, `cntV`, for a broadcast join. */
-  def freq(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    counts.toSeq.toDF("value", "cntV")
-  }
+  /** Count(v, D) of the `value` column, 1 for a value not in `counts`, read
+    * from a literal map.
+    */
+  def count: Column = coalesce(typedLit(counts).apply(col("value")), lit(1L))
 
   /** The most frequent value (ties: the smallest), if any value is non-null. */
   def modal: Option[String] =
@@ -56,11 +58,37 @@ final case class ValueStats(counts: Map[String, Long], total: Long) {
 }
 
 object ValueStats {
+
+  /** The statistics of `points`, counted per input partition and merged on
+    * the driver: one job, no shuffle. The same pass checks the points
+    * contract: a `string` value column, and a non-null `id` with finite `x`
+    * and `y` on every record. Unique ids are assumed, not checked (that
+    * would take a shuffle).
+    */
   def of(points: DataFrame): ValueStats = {
-    val rows = points.groupBy("value").count().collect()
+    val valueType = points.schema("value").dataType
+    require(valueType == StringType, s"points: value must be a string column, got $valueType")
+    val parts = points.select(col("id"), col("x").cast("double"), col("y").cast("double"), col("value"))
+      .rdd.mapPartitions { rows =>
+        val counts = mutable.HashMap.empty[String, Long]
+        var total = 0L
+        var bad: Option[String] = None
+        rows.foreach { r =>
+          def finite(i: Int) = !r.isNullAt(i) && r.getDouble(i).isFinite
+          if (bad.isEmpty) {
+            if (r.isNullAt(0)) bad = Some(s"null id (x=${r.get(1)}, y=${r.get(2)})")
+            else if (!finite(1) || !finite(2))
+              bad = Some(s"id ${r.get(0)}: non-finite coordinates (${r.get(1)}, ${r.get(2)})")
+          }
+          if (!r.isNullAt(3)) counts(r.getString(3)) = counts.getOrElse(r.getString(3), 0L) + 1
+          total += 1
+        }
+        Iterator((counts.toMap, total, bad))
+      }.collect()
+    parts.flatMap(_._3).headOption.foreach(b => throw new IllegalArgumentException(s"points: $b"))
     ValueStats(
-      rows.collect { case r if !r.isNullAt(0) => r.getString(0) -> r.getLong(1) }.toMap,
-      rows.map(_.getLong(1)).sum)
+      parts.iterator.flatMap(_._1).toSeq.groupMapReduce(_._1)(_._2)(_ + _),
+      parts.map(_._2).sum)
   }
 }
 
@@ -101,32 +129,32 @@ object SpatialCandidateGenerator {
               params, extraAttrs),
       erroneous)
 
-  /** Phases 1–3 for every cell of `hist` (built by [[Histogram.withOwn]]) in
-    * one pass partitioned by `id`, erroneous or not: a cell's candidates
-    * depend only on its own histogram rows.
+  /** Phases 1–3 for every cell of `hist` (built by [[Histogram.of]]) in
+    * one pass partitioned by cell ([[Histogram.cell]]), erroneous or not: a
+    * cell's candidates depend only on its own histogram rows.
     *
     * One row per candidate kept by the MinProb cutoff, for every cell with at
-    * least one candidate. Columns: [[CandidateColumns]] plus `v1` (the cell's
-    * own value), `totalW` (its total neighbour weight), `detected` (the
-    * detector's verdict), `rk` (rank by normProb) and `label` (its Phase-3
-    * label, or null).
+    * least one candidate; a cell whose rows carry no non-null value keeps its
+    * one row, with a null `value`. Columns: [[CandidateColumns]] plus `v1`
+    * (the cell's own value), `totalW` (its total neighbour weight),
+    * `detected` (the detector's verdict), `rk` (rank by normProb) and `label`
+    * (its Phase-3 label, or null).
     */
   def perCell(points: DataFrame, hist: DataFrame, stats: ValueStats, params: CandGenParams,
               extraAttrs: Seq[DataFrame] = Nil): DataFrame = {
-    val byCell = Window.partitionBy("id")
+    val byCell = Window.partitionBy(Histogram.cell(hist): _*)
     val byProb = byCell.orderBy(col("normProb").desc, col("value"))
+    val candidate = col("value").isNotNull
 
     // ---- Phase 1: nearby co-occurrences plus the original value.
     val phase1 = hist
-      .where(col("value").isNotNull)
-      .withColumn("nearW", coalesce(col("nearW"), lit(0.0)))
-      .withColumn("isOrig", col("value") <=> col("v1"))
-      .withColumn("sumW", when(col("nearW") > 0, col("nearW")).otherwise(lit(params.defaultWeight)))
+      .withColumn("nearW", when(candidate, coalesce(col("nearW"), lit(0.0))))
+      .withColumn("isOrig", candidate && (col("value") <=> col("v1")))
+      .withColumn("sumW", when(col("nearW") > 0, col("nearW")).when(candidate, lit(params.defaultWeight)))
 
     // ---- Phase 2: Naive-Bayes probability with the spatial term.
     var scored = phase1
-      .join(broadcast(stats.freq(points.sparkSession)), Seq("value"), "left")
-      .withColumn("cntV", coalesce(col("cntV"), lit(1L)))
+      .withColumn("cntV", stats.count)
       .withColumn("prob",
         (col("sumW") / lit(stats.total.toDouble)) *
         (when(col("isOrig"), lit(1.0)).otherwise(lit(params.minimalityBias)) / col("cntV")))
@@ -170,7 +198,7 @@ object SpatialCandidateGenerator {
     val err = erroneous.select("id")
     val mine = cells.join(err, Seq("id"), "left_semi")
     val labels = mine.where(col("rk") === 1 && col("label").isNotNull).select("id", "label")
-    CandidateResult(mine.select(columns.map(col): _*), labels,
+    CandidateResult(mine.where(col("value").isNotNull).select(columns.map(col): _*), labels,
                     err.join(labels, Seq("id"), "left_anti"))
   }
 }

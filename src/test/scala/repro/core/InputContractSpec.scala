@@ -1,0 +1,50 @@
+package repro.core
+
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, udf}
+import org.apache.spark.sql.types._
+
+import repro.{SparkSpec, TestPoints}
+import repro.cleaning.HoloCleanLike
+
+/** The points contract, checked by the value-statistics pass every `clean`
+  * call makes: a non-null `id`, finite `x` and `y`, and a `string` value.
+  */
+class InputContractSpec extends SparkSpec {
+
+  private def frame(rows: Seq[Row], value: DataType = StringType): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), StructType(Seq(
+      StructField("id", LongType), StructField("x", DoubleType),
+      StructField("y", DoubleType), StructField("value", value))))
+
+  private def rejects(points: DataFrame): String = {
+    val e = intercept[IllegalArgumentException](Sparcle.clean(points, SparcleParams(SpatialRange(10))))
+    val h = intercept[IllegalArgumentException](HoloCleanLike.clean(points))
+    assert(h.getMessage == e.getMessage)
+    e.getMessage
+  }
+
+  test("a null id is rejected") {
+    val msg = rejects(frame(Seq(Row(1L, 0.0, 0.0, "a"), Row(null, 3.0, 4.0, "b"), Row(2L, 1.0, 0.0, "a"))))
+    assert(msg.contains("null id"), msg)
+    assert(msg.contains("3.0"), msg)
+  }
+
+  test("non-finite coordinates are rejected, naming the record") {
+    for (bad <- Seq(Row(7L, Double.NaN, 0.0, "b"), Row(7L, 0.0, Double.PositiveInfinity, "b"),
+                    Row(7L, null, 0.0, "b"))) {
+      val msg = rejects(frame(Seq(Row(1L, 0.0, 0.0, "a"), bad, Row(2L, 1.0, 0.0, "a"))))
+      assert(msg.contains("id 7"), msg)
+    }
+  }
+
+  test("a non-string value column is rejected on the driver, before any row is read") {
+    // Evaluating this column on an executor would fail with another error.
+    val unread = udf((_: String) => { if (true) throw new IllegalStateException("row read"); 0 })
+    val pts = TestPoints.df(spark, Seq((1L, 0.0, 0.0, "1"), (2L, 1.0, 0.0, "2")))
+      .withColumn("value", unread(col("value")))
+    val msg = rejects(pts)
+    assert(msg.contains("value must be a string column"), msg)
+    assert(msg.contains("IntegerType"), msg)
+  }
+}

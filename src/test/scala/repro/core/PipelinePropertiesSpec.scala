@@ -1,0 +1,54 @@
+package repro.core
+
+import org.apache.spark.sql.DataFrame
+
+import repro.{SparkSpec, TestPoints}
+import repro.cleaning.HoloCleanLike
+
+/** Properties of `clean` that must hold whatever the physical layout of the
+  * input: the join groups records by cell, so list and summation orders
+  * inside a cell follow the input's partitioning.
+  */
+class PipelinePropertiesSpec extends SparkSpec {
+
+  private def repairs(df: DataFrame): Seq[(Long, String, String)] =
+    df.collect().map(r => (r.getLong(0), r.getString(1), r.getString(2))).sortBy(_._1).toSeq
+
+  /** Random points, a third of them piled on a coarse lattice (co-located). */
+  private def sample(seed: Long): Seq[TestPoints.Pt] =
+    TestPoints.random(300, 1500, 4, seed, nullEvery = 6).map { case p @ (id, x, y, v) =>
+      if (id % 3 == 0) (id, math.floor(x / 300) * 300, math.floor(y / 300) * 300, v) else p
+    }
+
+  test("repairs do not depend on input partitioning or row order") {
+    for (seed <- Seq(101L, 102L)) {
+      val raw = sample(seed)
+      val layouts = Seq(
+        TestPoints.df(spark, raw),
+        TestPoints.df(spark, raw).repartition(1),
+        TestPoints.df(spark, raw).repartition(7),
+        TestPoints.df(spark, new scala.util.Random(seed).shuffle(raw)))
+      for (c <- Seq(SpatialRange(200, PowerWeight(2)), SpatialRange(120, PowerWeight(0)), ExactLocation)) {
+        val all = layouts.map(pts => repairs(Sparcle.clean(pts, SparcleParams(c)).repairs))
+        assert(all.head.nonEmpty, s"$c must repair something")
+        all.tail.foreach(r => assert(r == all.head, s"$c, seed $seed"))
+      }
+      val holo = layouts.map(pts => repairs(HoloCleanLike.clean(pts).repairs))
+      holo.tail.foreach(r => assert(r == holo.head, s"HoloCleanLike, seed $seed"))
+    }
+  }
+
+  test("SpatialRange(d -> 0, n = 0) repairs as ExactLocation on co-located data") {
+    for (seed <- Seq(103L, 104L)) {
+      // Every record shares its location with others; distinct locations
+      // are at least 1 m apart.
+      val raw = TestPoints.random(240, 8, 3, seed, nullEvery = 5)
+        .map { case (id, x, y, v) => (id, math.floor(x), math.floor(y), v) }
+      val pts = TestPoints.df(spark, raw)
+      val exact = repairs(Sparcle.clean(pts, SparcleParams(ExactLocation)).repairs)
+      val tiny = repairs(Sparcle.clean(pts, SparcleParams(SpatialRange(1e-6, PowerWeight(0)))).repairs)
+      assert(exact.nonEmpty)
+      assert(tiny == exact, s"seed $seed")
+    }
+  }
+}

@@ -1,0 +1,84 @@
+package repro.core
+
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicLong
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.scalatest.concurrent.Eventually
+import org.scalatest.time.{Seconds, Span}
+
+import repro.{SparkSpec, TestPoints}
+import repro.cleaning.HoloCleanLike
+
+/** The physical shape of a `clean` call: the spatial join is its only
+  * shuffle, and the value statistics are one shuffle-free job. A rename or
+  * filter that breaks the co-partitioning of the join, the histogram and the
+  * per-cell pass shows here as an extra exchange.
+  */
+class PlanShapeSpec extends SparkSpec with Eventually {
+
+  private object Plans extends AdaptiveSparkPlanHelper
+
+  private lazy val pts = TestPoints.df(spark,
+    TestPoints.random(400, 2000, 5, seed = 91, nullEvery = 7) ++
+    TestPoints.random(100, 2000, 5, seed = 92).map { case (id, x, y, v) =>
+      (id + 1000L, math.floor(x / 400) * 400, math.floor(y / 400) * 400, v) })
+
+  /** Non-reused shuffle exchanges in the final adaptive plan of `df`, after
+    * collecting it.
+    */
+  private def shuffles(df: DataFrame): Int = {
+    df.collect()
+    Plans.collect(df.queryExecution.executedPlan) { case s: ShuffleExchangeExec => s }.size
+  }
+
+  test("a SpatialRange clean shuffles exactly once") {
+    for (w <- Seq(PowerWeight(2), PowerWeight(0)))
+      assert(shuffles(Sparcle.clean(pts, SparcleParams(SpatialRange(300, w))).repairs) == 1)
+  }
+
+  test("an ExactLocation clean and HoloCleanLike shuffle at most twice") {
+    assert(shuffles(Sparcle.clean(pts, SparcleParams(ExactLocation)).repairs) <= 2)
+    assert(shuffles(HoloCleanLike.clean(pts).repairs) <= 2)
+  }
+
+  test("ValueStats.of runs one job and writes no shuffle bytes") {
+    val sc = spark.sparkContext
+    val group = "plan-shape-value-stats"
+    val jobs = new AtomicLong
+    val drained = new AtomicLong
+    val shuffleBytes = new AtomicLong
+    val sentinel = ConcurrentHashMap.newKeySet[Int]()
+    val stages = ConcurrentHashMap.newKeySet[Int]()
+    val listener = new SparkListener {
+      private def groupOf(e: SparkListenerJobStart) =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (groupOf(e) == group) {
+          jobs.incrementAndGet()
+          e.stageIds.foreach(stages.add)
+        } else if (groupOf(e) == s"$group-sentinel") sentinel.add(e.jobId)
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (sentinel.contains(e.jobId)) drained.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages.contains(e.stageId) && e.taskMetrics != null)
+          shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "ValueStats.of")
+      val stats = try ValueStats.of(pts) finally sc.clearJobGroup()
+      assert(stats.total == 500)
+      // Events arrive in order: once a later job's end is seen, every event
+      // of the call has been.
+      sc.setJobGroup(s"$group-sentinel", "listener drain")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      eventually(timeout(Span(30, Seconds))) { assert(drained.get == 1) }
+      assert(jobs.get == 1)
+      assert(shuffleBytes.get == 0)
+    } finally sc.removeSparkListener(listener)
+  }
+}
