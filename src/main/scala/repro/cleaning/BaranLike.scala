@@ -103,8 +103,6 @@ object BaranLike {
       .withColumn("isError",
         col("value").isNull || col("truthValue").isNull || col("value") =!= col("truthValue"))
       .where((col("isError") && u < params.pDetect) || (!col("isError") && u < params.pFalseAlarm))
-      .persist()
-    flagged.count()
 
     // ---- Correction model 1: exact co-located majority vote.
     val exact = RangeJoin.exactPairs(points)

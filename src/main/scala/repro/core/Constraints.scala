@@ -45,14 +45,11 @@ final case class SpatialRange(d: Double, weight: WeightFn = PowerWeight(2))
 
 /** SpatialkNN(..., k, F, W): each record's k nearest neighbors are expected
   * to share the dependent attribute; the weight function's "d" is the
-  * distance of the kth neighbor (per §6 of the paper).
-  *
-  * @param initRadius  first search radius of the iterative kNN join
-  * @param maxRadius   radius at which the search is provably total
-  *                    (callers pass the data extent diagonal)
+  * distance of the kth neighbor (per §6 of the paper). The kNN join derives
+  * its search radii from the input's extent, so the neighbors are exact at
+  * any extent.
   */
-final case class SpatialKnn(k: Int, weight: WeightFn = PowerWeight(2),
-                            initRadius: Double = 500.0, maxRadius: Double = 200000.0)
+final case class SpatialKnn(k: Int, weight: WeightFn = PowerWeight(2))
     extends SpatialConstraint {
   require(k >= 1, s"k must be >= 1, got $k")
 }

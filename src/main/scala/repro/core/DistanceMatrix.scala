@@ -39,10 +39,10 @@ object DistanceMatrix {
         RangeJoin.cellPairs(points, d).withColumn("w", w.expr(col("dist"), lit(d)))
       case ExactLocation =>
         RangeJoin.locationPairs(points).withColumn("w", lit(1.0))
-      case SpatialKnn(k, w, r0, rMax) =>
+      case SpatialKnn(k, w) =>
         // dk = 0 happens only when all k neighbors sit at the exact same
         // location; they are perfect co-occurrences, so weight 1.
-        KnnJoin.pairs(points, k, r0, rMax)
+        KnnJoin.pairs(points, k)
           .withColumn("w", when(col("dk") === 0.0, lit(1.0)).otherwise(w.expr(col("dist"), col("dk"))))
           .select("r1", "r2", "v1", "v2", "dist", "w")
           .unionByName(selfPairs(points))

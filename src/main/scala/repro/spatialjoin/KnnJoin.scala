@@ -1,23 +1,27 @@
 package repro.spatialjoin
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.collection.mutable.ListBuffer
+
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** k-nearest-neighbor self-join, built on [[RangeJoin]] with an iterative
-  * radius-doubling search.
+/** k-nearest-neighbor self-join, built on [[RangeJoin]] with a growing
+  * search radius.
   *
-  * Each round performs a grid range join at the current radius for the probes
-  * that have not yet found `k` neighbors; probes that have are finalized.
-  * The radius doubles until it reaches `maxRadius` (callers pass the extent
-  * diagonal), at which point the 3×3 grid neighborhood spans the whole
-  * extent, so every remaining probe sees every other point and terminates.
-  * Correctness: once a probe has ≥ k candidates within radius r, its true
-  * kth-nearest distance is < r, so the candidate set contains the true kNN.
+  * The input sets the radii. One aggregate job reads the record count n and
+  * the extent diagonal. The last radius lies just above the diagonal, so
+  * every pair is inside it and that round is exact and total. The first is
+  * the diagonal × √(k/n), which holds about 2πk points of a uniform input;
+  * the radius doubles from there, so there are at most ½·log₂(n/k) + 2
+  * rounds.
   *
-  * Every per-round frame is eagerly local-checkpointed: the loop otherwise
-  * accumulates an exponentially deep lineage (left-anti chains + union
-  * trees) whose Catalyst planning time dwarfs the actual work.
+  * Each round range-joins the probes still open against all points; a probe
+  * with ≥ k candidates within radius r is finalized, since its true
+  * kth-nearest distance is then < r and the candidates hold its true kNN.
+  * The driver collects the ids still open, and the next round's probes are
+  * the input filtered by them: every round's plan reads only the input, and
+  * nothing is persisted.
   *
   * Output columns: `r1, r2, v1, v2, dist, dk` where r2 ranges over the k
   * nearest neighbors of r1 (ties broken by (dist, r2) for determinism) and
@@ -27,58 +31,40 @@ import org.apache.spark.sql.functions._
   */
 object KnnJoin {
 
-  def pairs(points: DataFrame, k: Int, initRadius: Double, maxRadius: Double): DataFrame = {
+  def pairs(points: DataFrame, k: Int): DataFrame = {
     require(k >= 1, s"k must be >= 1, got $k")
-    require(initRadius > 0 && maxRadius >= initRadius,
-      s"bad radii: init=$initRadius max=$maxRadius")
 
-    val spark = points.sparkSession
-    val n = points.count()
+    val extent = points.agg(count(lit(1)),
+      coalesce(hypot(max("x") - min("x"), max("y") - min("y")), lit(0.0))).head()
+    val n = extent.getLong(0)
     // A point can have at most n-1 neighbors; clamp like real kNN systems do.
     val kEff = math.min(k.toLong, math.max(0L, n - 1)).toInt
-    if (kEff == 0) return emptyPairs(spark)
+    val diag = extent.getDouble(1)
+    // The margin absorbs rounding in the join's distances; a zero extent
+    // (all points co-located) takes any positive radius.
+    val last = if (diag > 0) diag * (1 + 1e-9) else 1.0
+    val first = if (kEff == 0) last else last * math.sqrt(kEff.toDouble / n)
+    val radii = Iterator.iterate(first)(_ * 2).takeWhile(_ < last).toSeq :+ last
 
-    val all = points.localCheckpoint(true)
-
-    var remaining = all
-    var collected: Option[DataFrame] = None
-    var r = initRadius
-    var exhausted = false
-
-    while (!exhausted && remaining.count() > 0) {
-      // At r >= maxRadius the grid query is total: everything finishes.
-      val total = r >= maxRadius
-      val cand = RangeJoin.pairsAsym(remaining, all, math.max(r, 1e-9)).localCheckpoint(true)
-      val counts = cand.groupBy("r1").agg(count(lit(1)).as("nnb"))
-      val doneIds =
-        if (total) remaining.select(col("id").as("r1"))
-        else counts.where(col("nnb") >= kEff).select("r1")
-      val donePairs = cand.join(doneIds, Seq("r1"))
-      collected = Some(collected.fold(donePairs)(_.unionByName(donePairs)).localCheckpoint(true))
-      remaining = remaining
-        .join(doneIds.withColumnRenamed("r1", "id"), Seq("id"), "left_anti")
-        .localCheckpoint(true)
-      exhausted = total
-      r = math.min(r * 2, maxRadius)
+    // Each round's candidates, restricted to the probes it finalizes.
+    val finalized = ListBuffer.empty[DataFrame]
+    var open: Option[Set[Long]] = None // None: every point
+    for (r <- radii if open.forall(_.nonEmpty)) {
+      val probes = open.fold(points)(ids => points.where(col("id").isInCollection(ids)))
+      val cand = RangeJoin.pairsAsym(probes, points, r)
+      val done = cand.groupBy(col("r1").as("id")).count().where(col("count") >= kEff)
+      val stillOpen =
+        if (r == last) Set.empty[Long]
+        else probes.select("id").join(done, Seq("id"), "left_anti").collect().map(_.getLong(0)).toSet
+      finalized += cand.where(!col("r1").isInCollection(stillOpen))
+      open = Some(stillOpen)
     }
 
-    val pairsAll = collected.getOrElse(emptyPairs(spark).drop("dk"))
     val byDist = Window.partitionBy("r1").orderBy(col("dist"), col("r2"))
-    pairsAll
+    finalized.reduce(_ unionByName _)
       .withColumn("rank", row_number().over(byDist))
       .where(col("rank") <= kEff)
       .withColumn("dk", max(col("dist")).over(Window.partitionBy("r1")))
       .select("r1", "r2", "v1", "v2", "dist", "dk")
-      .localCheckpoint(true)
-  }
-
-  private def emptyPairs(spark: SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    val schema = StructType(Seq(
-      StructField("r1", LongType), StructField("r2", LongType),
-      StructField("v1", StringType), StructField("v2", StringType),
-      StructField("dist", DoubleType), StructField("dk", DoubleType),
-    ))
-    spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row], schema)
   }
 }

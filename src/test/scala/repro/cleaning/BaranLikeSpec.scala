@@ -100,6 +100,15 @@ class BaranLikeSpec extends SparkSpec {
     }
   }
 
+  test("clean leaves no persisted RDDs behind") {
+    val sc = spark.sparkContext
+    val pts = TestPoints.df(spark, TestPoints.random(200, 1000, 3, seed = 88))
+    val truth = truthDf((0L until 200L).map(i => i -> "v1"))
+    val before = sc.getPersistentRDDs.keySet.toSet
+    BaranLike.clean(pts, truth, roomyBudget).collect()
+    assert((sc.getPersistentRDDs.keySet.toSet -- before).isEmpty)
+  }
+
   test("false alarms can cause wrong repairs on clean cells (precision cost)") {
     val n = 400
     val pts = (0L until n).map(i => (i, i * 5.0, 0.0, if (i < 390) "A" else "B"))

@@ -51,7 +51,7 @@ class DistanceMatrixSpec extends SparkSpec {
     val pts = TestPoints.random(60, 400, 3, seed = 25)
     val w = PowerWeight(2)
     val dm = DistanceMatrix.build(
-      TestPoints.df(spark, pts), SpatialKnn(4, w, initRadius = 50, maxRadius = 2000)).collect()
+      TestPoints.df(spark, pts), SpatialKnn(4, w)).collect()
     val brute = TestPoints.bruteKnn(pts, 4)
       .map { case (r1, r2, _, _, dist, dk) => ((r1, r2), (dist, dk)) }.toMap
     assert(dm.length == brute.size)
@@ -63,10 +63,17 @@ class DistanceMatrixSpec extends SparkSpec {
     }
   }
 
+  test("kNN DistanceMatrix is exact on an extent wider than 200 km") {
+    val pts = Seq((1L, 0.0, 0.0, "a"), (2L, 300000.0, 0.0, "b"), (3L, 300001.0, 0.0, "c"))
+    val dm = DistanceMatrix.build(TestPoints.df(spark, pts), SpatialKnn(1)).collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(4))).toSet
+    assert(dm == TestPoints.bruteKnn(pts, 1).map(p => (p._1, p._2, p._5)).toSet)
+  }
+
   test("kNN DistanceMatrix gives weight 1 when all k neighbors are co-located") {
     val pts = Seq((1L, 0.0, 0.0, "a"), (2L, 0.0, 0.0, "b"), (3L, 0.0, 0.0, "c"))
     val dm = DistanceMatrix.build(
-      TestPoints.df(spark, pts), SpatialKnn(2, PowerWeight(2), 10, 100))
+      TestPoints.df(spark, pts), SpatialKnn(2, PowerWeight(2)))
     assert(dm.count() == 6)
     assert(dm.where(col("w") =!= 1.0).count() == 0)
   }
@@ -83,7 +90,7 @@ class DistanceMatrixSpec extends SparkSpec {
   test("the kth neighbor itself gets weight 0 under n>0 (paper's kNN semantics)") {
     val pts = Seq((1L, 0.0, 0.0, "a"), (2L, 10.0, 0.0, "b"), (3L, 30.0, 0.0, "c"))
     val dm = DistanceMatrix.build(
-      TestPoints.df(spark, pts), SpatialKnn(2, PowerWeight(2), 5, 200))
+      TestPoints.df(spark, pts), SpatialKnn(2, PowerWeight(2)))
     val fromP1 = dm.where(col("r1") === 1).orderBy("dist").collect()
     assert(fromP1.length == 2)
     assert(fromP1(1).getDouble(5) == 0.0) // farthest of the k

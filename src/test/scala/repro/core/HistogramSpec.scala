@@ -13,7 +13,7 @@ class HistogramSpec extends SparkSpec {
 
   test("hist matches DuckDB's aggregation of the DistanceMatrix, range and kNN") {
     val pts = TestPoints.df(spark, TestPoints.random(120, 300, 4, seed = 81, nullEvery = 9))
-    for (c <- Seq(SpatialRange(70, PowerWeight(2)), SpatialKnn(5, PowerWeight(2), 20, 1000))) {
+    for (c <- Seq(SpatialRange(70, PowerWeight(2)), SpatialKnn(5, PowerWeight(2)))) {
       val dm = DistanceMatrix.build(pts, c).persist()
       Oracle.assertEquivalent(Histogram.of(dm), sql, "dm" -> dm)
       // The pipeline's input adds only own-value rows without neighbour weight.

@@ -38,6 +38,20 @@ class PipelinePropertiesSpec extends SparkSpec {
     }
   }
 
+  test("repairs touch only erroneous cells") {
+    val pts = TestPoints.df(spark, sample(105L))
+    def ids(df: DataFrame): Set[Long] = df.select("id").collect().map(_.getLong(0)).toSet
+    val results =
+      Seq(SpatialRange(200, PowerWeight(2)), ExactLocation, SpatialKnn(5, PowerWeight(2)))
+        .map(c => c.toString -> Sparcle.clean(pts, SparcleParams(c))) :+
+        ("HoloCleanLike" -> HoloCleanLike.clean(pts))
+    for ((name, r) <- results) {
+      val repaired = ids(r.repairs)
+      assert(repaired.nonEmpty, s"$name must repair something")
+      assert(repaired.subsetOf(ids(r.erroneous)), name)
+    }
+  }
+
   test("SpatialRange(d -> 0, n = 0) repairs as ExactLocation on co-located data") {
     for (seed <- Seq(103L, 104L)) {
       // Every record shares its location with others; distinct locations

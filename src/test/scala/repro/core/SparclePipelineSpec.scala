@@ -86,7 +86,7 @@ class SparclePipelineSpec extends SparkSpec {
 
   test("kNN constraint cleans the same dataset comparably to range") {
     val knn = Sparcle.clean(smallDataset.points("region"),
-      SparcleParams(SpatialKnn(8, PowerWeight(2), initRadius = 200, maxRadius = 10000)))
+      SparcleParams(SpatialKnn(8, PowerWeight(2))))
     val s = Metrics.score(smallDataset.points("region"), smallDataset.truthFor("region"), knn.repairs)
     assert(s.recall > 0.7, s"kNN recall too low: $s")
     assert(s.precision > 0.7, s"kNN precision too low: $s")
@@ -119,7 +119,7 @@ class SparclePipelineSpec extends SparkSpec {
     // neighbour is b, and the conflict (c, b) flags b only from c's side.
     val pts = TestPoints.df(spark,
       Seq((1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "a"), (3L, 3.0, 0.0, "b")))
-    val r = Sparcle.clean(pts, SparcleParams(SpatialKnn(1, PowerWeight(2), 1, 100)))
+    val r = Sparcle.clean(pts, SparcleParams(SpatialKnn(1, PowerWeight(2))))
     assert(r.erroneous.as[Long].collect().toSet == Set(2L, 3L))
     val labels = r.labels.collect().map(l => l.getLong(0) -> l.getString(1)).toMap
     assert(labels.get(2L).contains("a"))
@@ -148,6 +148,7 @@ class SparclePipelineSpec extends SparkSpec {
     }
     assert(leaves(Sparcle.clean(pts, SparcleParams(SpatialRange(700, PowerWeight(2))))).isEmpty)
     assert(leaves(Sparcle.clean(pts, SparcleParams(ExactLocation))).isEmpty)
+    assert(leaves(Sparcle.clean(pts, SparcleParams(SpatialKnn(8, PowerWeight(2))))).isEmpty)
     assert(leaves(HoloCleanLike.clean(pts)).isEmpty)
   }
 }

@@ -4,8 +4,8 @@ import repro.{SparkSpec, TestPoints}
 
 class KnnJoinSpec extends SparkSpec {
 
-  private def run(pts: Seq[TestPoints.Pt], k: Int, r0: Double = 50, rMax: Double = 1e6) =
-    KnnJoin.pairs(TestPoints.df(spark, pts), k, r0, rMax).collect()
+  private def run(pts: Seq[TestPoints.Pt], k: Int) =
+    KnnJoin.pairs(TestPoints.df(spark, pts), k).collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getString(2), r.getString(3),
                  r.getDouble(4), r.getDouble(5)))
 
@@ -22,10 +22,20 @@ class KnnJoinSpec extends SparkSpec {
     assert(asSets(got.toIndexedSeq) == asSets(TestPoints.bruteKnn(pts, 5)))
   }
 
-  test("kNN join matches brute force with a tiny initial radius (forces doubling)") {
+  test("kNN join matches brute force on a sparse set (k=3)") {
     val pts = TestPoints.random(n = 80, extent = 5000, nValues = 3, seed = 12)
-    val got = run(pts, k = 3, r0 = 1, rMax = 20000)
+    val got = run(pts, k = 3)
     assert(asSets(got.toIndexedSeq) == asSets(TestPoints.bruteKnn(pts, 3)))
+  }
+
+  test("kNN join matches brute force on a dense cluster plus sparse points") {
+    // The first radius fits the cluster; the sparse points need more rounds.
+    val cluster = TestPoints.random(n = 300, extent = 10, nValues = 3, seed = 18)
+    val sparse = TestPoints.random(n = 60, extent = 20000, nValues = 3, seed = 19)
+      .map { case (id, x, y, v) => (id + 300, x, y, v) }
+    val pts = cluster ++ sparse
+    val got = run(pts, k = 4)
+    assert(asSets(got.toIndexedSeq) == asSets(TestPoints.bruteKnn(pts, 4)))
   }
 
   test("kNN join matches brute force with k=1") {
@@ -65,7 +75,7 @@ class KnnJoinSpec extends SparkSpec {
     val pts = Seq(
       (1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "a"), (3L, 0.0, 1.0, "a"), (4L, 1.0, 1.0, "a"),
       (5L, 1000.0, 1000.0, "z"))
-    val got = run(pts, k = 2, r0 = 1, rMax = 5000)
+    val got = run(pts, k = 2)
     val fromOutlier = got.filter(_._1 == 5L)
     assert(fromOutlier.length == 2)
     assert(got.filter(_._1 != 5L).forall(_._2 != 5L))
@@ -74,7 +84,7 @@ class KnnJoinSpec extends SparkSpec {
   test("ties are broken deterministically by record id") {
     // Two neighbors at identical distance; with k=1 the smaller id wins.
     val pts = Seq((1L, 0.0, 0.0, "a"), (2L, 10.0, 0.0, "b"), (3L, -10.0, 0.0, "c"))
-    val got = run(pts, k = 1, r0 = 5, rMax = 100)
+    val got = run(pts, k = 1)
     val fromP1 = got.filter(_._1 == 1L)
     assert(fromP1.length == 1)
     assert(fromP1.head._2 == 2L)
@@ -87,7 +97,7 @@ class KnnJoinSpec extends SparkSpec {
 
   test("kNN join carries values, including nulls") {
     val pts = Seq((1L, 0.0, 0.0, null: String), (2L, 1.0, 0.0, "b"), (3L, 2.0, 0.0, "c"))
-    val got = run(pts, k = 1, r0 = 2, rMax = 100)
+    val got = run(pts, k = 1)
     val fromP2 = got.filter(_._1 == 2L)
     assert(fromP2.length == 1 && fromP2.head._2 == 1L)
     assert(fromP2.head._3 == "b" && fromP2.head._4 == null)
@@ -102,8 +112,6 @@ class KnnJoinSpec extends SparkSpec {
 
   test("invalid arguments are rejected") {
     val pts = TestPoints.df(spark, Seq((1L, 0.0, 0.0, "a")))
-    intercept[IllegalArgumentException](KnnJoin.pairs(pts, 0, 10, 100))
-    intercept[IllegalArgumentException](KnnJoin.pairs(pts, 2, -1, 100))
-    intercept[IllegalArgumentException](KnnJoin.pairs(pts, 2, 200, 100))
+    intercept[IllegalArgumentException](KnnJoin.pairs(pts, 0))
   }
 }
