@@ -9,7 +9,7 @@ import org.apache.spark.sql.functions._
 sealed trait WeightFn extends Serializable {
   /** Column form, for use inside the DistanceMatrix computation. */
   def expr(dist: Column, d: Column): Column
-  /** Scalar form, for tests and driver-side checks. */
+  /** Scalar form, for the join's per-cell loop; equal to [[expr]] bit for bit. */
   def weight(dist: Double, d: Double): Double
 }
 
@@ -24,7 +24,7 @@ final case class PowerWeight(n: Double) extends WeightFn {
     pow(greatest(lit(0.0), lit(1.0) - dist / d), lit(n))
 
   override def weight(dist: Double, d: Double): Double =
-    math.pow(math.max(0.0, 1.0 - dist / d), n)
+    StrictMath.pow(math.max(0.0, 1.0 - dist / d), n) // Spark's POWER is StrictMath.pow
 }
 
 /** A spatial denial constraint ¬(SpatialPredicate(r1, r2) ∧ r1.A ≠ r2.A)

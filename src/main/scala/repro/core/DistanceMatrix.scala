@@ -11,47 +11,26 @@ import repro.spatialjoin.{KnnJoin, RangeJoin}
   * w: double)` — r2 satisfies the constraint's spatial predicate w.r.t. r1,
   * v1/v2 are their (possibly dirty, possibly null) values of the dependent
   * attribute, `dist` is F(r1, r2) and `w` the distance weight. All later
-  * Sparcle modules (detector, candidate generator, formulators) are scans
-  * and aggregations over this one table, which is what keeps Sparcle's
-  * overhead over its host under ~30% in the paper.
+  * Sparcle modules (detector, candidate generator, formulators) read only
+  * each r1's rows of this one table, which is what keeps Sparcle's overhead
+  * over its host under ~30% in the paper.
   */
 object DistanceMatrix {
 
   /** Build the DistanceMatrix for `points` (contract: id, x, y, value)
-    * under `constraint`: [[neighbours]] without the cell key and the self
-    * pairs.
+    * under `constraint`.
     */
   def build(points: DataFrame, constraint: SpatialConstraint): DataFrame =
-    of(neighbours(points, constraint))
-
-  /** The DistanceMatrix view of a [[neighbours]] relation. */
-  private[repro] def of(neighbours: DataFrame): DataFrame =
-    neighbours.where(col("r1") =!= col("r2")).select("r1", "r2", "v1", "v2", "dist", "w")
-
-  /** The relation `Sparcle.clean` aggregates: the DistanceMatrix plus each
-    * record's pair with itself (`r1 = r2`, `dist` 0), which carries the
-    * record's own value. Range and exact-location joins also keep their cell
-    * key `(cx, cy)` and come hash-partitioned by it; the kNN join has no key.
-    */
-  private[repro] def neighbours(points: DataFrame, constraint: SpatialConstraint): DataFrame =
     constraint match {
       case SpatialRange(d, w) =>
-        RangeJoin.cellPairs(points, d).withColumn("w", w.expr(col("dist"), lit(d)))
+        RangeJoin.pairs(points, d).withColumn("w", w.expr(col("dist"), lit(d)))
       case ExactLocation =>
-        RangeJoin.locationPairs(points).withColumn("w", lit(1.0))
+        RangeJoin.exactPairs(points).withColumn("w", lit(1.0))
       case SpatialKnn(k, w) =>
         // dk = 0 happens only when all k neighbors sit at the exact same
         // location; they are perfect co-occurrences, so weight 1.
         KnnJoin.pairs(points, k)
           .withColumn("w", when(col("dk") === 0.0, lit(1.0)).otherwise(w.expr(col("dist"), col("dk"))))
           .select("r1", "r2", "v1", "v2", "dist", "w")
-          .unionByName(selfPairs(points))
     }
-
-  /** Each record's pair with itself, in the DistanceMatrix schema, with a
-    * null weight.
-    */
-  private[repro] def selfPairs(points: DataFrame): DataFrame =
-    points.select(col("id").as("r1"), col("id").as("r2"), col("value").as("v1"),
-                  col("value").as("v2"), lit(0.0).as("dist"), lit(null).cast("double").as("w"))
 }

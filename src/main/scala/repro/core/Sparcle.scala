@@ -1,8 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
+import scala.math.Ordering.Double.TotalOrdering
+
+import org.apache.spark.sql.{DataFrame, Encoders, Row}
 import org.apache.spark.sql.functions._
+
+import repro.spatialjoin.{Copy, RangeJoin}
 
 /** End-to-end Sparcle configuration for one spatial functional dependency
   * (Lat, Lon) → A.
@@ -15,15 +18,15 @@ final case class SparcleParams(
       * of the cell's total neighbor weight. Emulates the initial-value
       * feature AimNet learns to weigh against constraint violations.
       */
-    keepOriginalMargin: Double = 0.25,
+    keepOriginalMargin: Double = Sparcle.DefaultMargin,
 )
 
 /** Everything a run produces, for inspection by tests and benches. Every
   * frame is lazy and nothing is persisted: collecting `repairs` runs the
-  * spatial join, one histogram aggregation and one per-cell pass.
+  * spatial join and, inside it, one loop per grid cell.
   *
-  * @param dm         the DistanceMatrix (a debug and oracle view; the
-  *                   pipeline reads its histogram, not the matrix)
+  * @param dm         the DistanceMatrix (a debug and oracle view; a range or
+  *                   exact-location run never builds it)
   * @param erroneous  cell ids flagged by the spatial error detector
   * @param candidates post-cutoff candidate lists with all formulator scores
   * @param labels     Phase-3 auto-labels
@@ -37,6 +40,12 @@ final case class SparcleResult(
     labels: DataFrame,
     repairs: DataFrame,
 )
+
+/** One cell's outcome: detector verdict, Phase-3 candidates in rank order,
+  * label (or null) and the corrector's value (null without candidates).
+  */
+final case class Cell(id: Long, v1: String, detected: Boolean, candidates: Seq[Candidate],
+                      label: String, newValue: String)
 
 /** The Sparcle pipeline (§2): spatial error detector → spatial candidate
   * generator → spatial input formulator → error corrector.
@@ -54,22 +63,18 @@ final case class SparcleResult(
   * take precedence, matching the paper's "safely moved to the clean list"
   * semantics.
   *
-  * Execution: the spatial join's output, each record's pair with itself
-  * included, is aggregated once into the neighbour-value histogram
-  * ([[Histogram]]), and one pass partitioned by cell derives the detector's
-  * verdict, Phases 1–3, the formulator scores and the corrector's choice
-  * from it. The histogram and the pass group by the join's cell key and the
-  * record id, which the join's hash partitioning already satisfies: the join
-  * is the call's only shuffle. The layer functions
-  * (`SpatialErrorDetector.erroneousCells`, `SpatialCandidateGenerator.generate`,
-  * `SpatialInputFormulator.allFormats`, [[repairsFrom]]) are views over the
-  * same code, taking the DistanceMatrix as their input.
+  * Execution: every stage after the join reads only one cell's neighbour
+  * histogram, so [[decide]] runs them all per cell. A range or exact-location
+  * run calls it inside the join's loop per grid cell, behind the join's one
+  * shuffle; a kNN run groups its relation by `r1` ([[cellsOf]]). Either way
+  * `erroneous`, `candidates`, `labels` and `repairs` are projections of the
+  * per-cell frame, one [[Cell]] per row. The DistanceMatrix-input layer
+  * functions (`generate`, `allFormats`, [[repairsFrom]]) share these functions.
   */
 object Sparcle {
 
-  /** Candidate columns plus the formulator scores, as in `SparcleResult.candidates`. */
-  private val ScoredColumns =
-    SpatialCandidateGenerator.CandidateColumns ++ Seq("totalW", "viol", "p", "fg")
+  /** The corrector's default `keepOriginalMargin`. */
+  val DefaultMargin: Double = 0.25
 
   def clean(points: DataFrame, params: SparcleParams): SparcleResult =
     run(points, params, ValueStats.of(points), fallback = None)
@@ -82,64 +87,102 @@ object Sparcle {
     */
   private[repro] def run(points: DataFrame, params: SparcleParams, stats: ValueStats,
                          fallback: Option[String]): SparcleResult = {
-    val neighbours = DistanceMatrix.neighbours(points, params.constraint)
-    val hist = Histogram.of(neighbours)
-    val scored = SpatialInputFormulator.scores(
-      SpatialCandidateGenerator.perCell(points, hist, stats, params.candGen))
-
-    // A detected cell without any candidate — a null cell whose neighbours
-    // are all null or absent — takes the fallback.
-    val repairs = choose(scored, params.keepOriginalMargin)
-      .where(col("detected"))
+    val SparcleParams(constraint, candGen, margin) = params
+    val dm = DistanceMatrix.build(points, constraint)
+    // Decides each probe's cell in the join's loop, weighing its neighbours by distance.
+    val inJoin = (weight: Double => Double) => (a: Copy, neighbours: Iterator[(Copy, Double)]) =>
+      Some(decide(a.id, new Histogram(a.value, neighbours.map { case (b, dist) => (b.value, weight(dist)) }),
+                  stats, candGen, margin))
+    val cells = constraint match {
+      case SpatialRange(d, w) => RangeJoin.reduce(RangeJoin.cells(points, d))(inJoin(w.weight(_, d)))
+      case ExactLocation      => RangeJoin.reduce(RangeJoin.locations(points))(inJoin(_ => 1.0))
+      case _: SpatialKnn      => cellsOf(points, dm, stats, candGen, margin)
+    }
+    // The kNN relation is asymmetric: a conflict also flags its r2 cell.
+    val flagged = constraint match {
+      case _: SpatialKnn => cells.join(SpatialErrorDetector.erroneousCells(points, dm), Seq("id"), "left_semi")
+      case _             => cells.where(col("detected"))
+    }
+    // A detected cell without any candidate (a null cell whose neighbours are
+    // all null or absent) takes the fallback.
+    val repairs = cells.where(col("detected"))
       .select(col("id"), col("v1").as("oldValue"),
               coalesce(col("newValue"), lit(fallback.orNull)).as("newValue"))
       .where(col("newValue").isNotNull && changed)
-
-    val dm = DistanceMatrix.of(neighbours)
-    val erroneous = SpatialErrorDetector.erroneousCells(points, dm)
-    val cand = SpatialCandidateGenerator.restrict(scored, erroneous, ScoredColumns)
-    SparcleResult(dm, erroneous, cand.candidates, cand.labels, repairs)
+    SparcleResult(dm, flagged.select("id"), SpatialCandidateGenerator.candidatesOf(flagged),
+                  SpatialCandidateGenerator.labelsOf(flagged), repairs)
   }
 
-  /** Pick the final value per erroneous cell and keep only actual changes.
-    *
-    * Selection: Phase-3 label if present. Otherwise the candidate minimizing
-    * the weighted violation score (ties: normProb desc, value asc), except
-    * that the cell's original value — when it survived as a candidate — is
-    * kept unless the winner's violation advantage exceeds
-    * `margin × totalW` (the initial-value bias).
+  /** The per-cell kernel (§3.3–§5): for cell `id` with histogram `hist`,
+    * the detector's verdict, Phases 1–3 with the host formats, and the
+    * corrector's choice. `factors` are the Phase-2 A′ factors.
+    */
+  def decide(id: Long, hist: Histogram, stats: ValueStats, candGen: CandGenParams, margin: Double,
+             factors: Seq[String => Double] = Nil): Cell = {
+    val (candidates, label) = SpatialCandidateGenerator.phases(hist, stats, candGen, factors)
+    Cell(id, hist.own, SpatialErrorDetector.detected(hist), candidates, label,
+         correct(candidates, label, margin))
+  }
+
+  /** The corrector: the cell's Phase-3 label if present. Otherwise the
+    * candidate minimizing the weighted violation score (ties: normProb desc,
+    * value asc), except that the cell's original value — when it survived as
+    * a candidate — is kept unless the winner's violation advantage exceeds
+    * `margin × totalW` (the initial-value bias). Null without candidates.
+    */
+  private def correct(candidates: Seq[Candidate], label: String, margin: Double): String =
+    if (label != null || candidates.isEmpty) label
+    else {
+      val pick = candidates.minBy(c => (c.viol, -c.normProb, c.value))
+      candidates.find(_.isOrig).filter(o => o.viol - pick.viol <= margin * pick.totalW)
+        .getOrElse(pick).value
+    }
+
+  /** The per-cell frame of a pair relation `(r1, v2, w)` — the kNN relation
+    * or a DistanceMatrix — with one cell per record of `points`, whose
+    * neighbours are grouped by `r1` and summed in list order. Each `(id, a)`
+    * frame of `extraAttrs` adds the Phase-2 factor Count((v, R.A′), D) /
+    * Count(v, D), with the minimality pseudo-count for an unseen pair.
+    */
+  private[repro] def cellsOf(points: DataFrame, relation: DataFrame, stats: ValueStats,
+                             candGen: CandGenParams, margin: Double,
+                             extraAttrs: Seq[DataFrame] = Nil): DataFrame = {
+    val attrs = extraAttrs.zipWithIndex.map { case (a, i) =>
+      a.select(col("id"), col(a.columns.filterNot(_ == "id").head).as(s"a$i")) }
+    val cooc = attrs.map(a => points.join(a, Seq("id")).select(col("value"), col(a.columns(1)))
+      .na.drop().groupBy("value", a.columns(1)).count().collect()
+      .map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap)
+    val decideOne = udf((id: Long, v1: String, nbs: Seq[Row], as: Seq[String]) => {
+      val hist = new Histogram(v1, Option(nbs).getOrElse(Nil).map(nb => (nb.getString(0), nb.getDouble(1))))
+      decide(id, hist, stats, candGen, margin, as.zip(cooc).map { case (a, n) => (v: String) =>
+        n.get((v, a)).fold(candGen.minimalityBias)(_.toDouble) / stats.counts.getOrElse(v, 1L).toDouble })
+    })
+    val nbs = relation.groupBy(col("r1").as("id")).agg(collect_list(struct("v2", "w")).as("nbs"))
+    attrs.foldLeft(points.join(nbs, Seq("id"), "left"))(_.join(_, Seq("id"), "left"))
+      .select(decideOne(col("id"), col("value"), col("nbs"),
+                        array(attrs.map(a => col(a.columns(1))): _*).cast("array<string>")).as("c"))
+      .select("c.*")
+  }
+
+  /** The corrector over scored candidate rows, with every [[Candidate]]
+    * column (as `SpatialInputFormulator.allFormats` gives them), and the
+    * Phase-3 labels: `id, oldValue, newValue` of the erroneous cells whose
+    * value it changes.
     */
   def repairsFrom(points: DataFrame, erroneous: DataFrame,
                   scoredCandidates: DataFrame, labels: DataFrame,
-                  margin: Double = 0.25): DataFrame = {
-    val chosen = choose(scoredCandidates.join(labels, Seq("id"), "left"), margin)
+                  margin: Double = DefaultMargin): DataFrame = {
+    val fields = Encoders.product[Candidate].schema.fieldNames.toSeq.map(col)
+    val correctOne = udf((cands: Seq[Candidate], label: String) => correct(cands, label, margin))
     points.select(col("id"), col("value").as("oldValue"))
       .join(erroneous, Seq("id"))
-      .join(chosen.select("id", "newValue"), Seq("id"))
+      .join(scoredCandidates.groupBy("id").agg(collect_list(struct(fields: _*)).as("cands")), Seq("id"))
+      .join(labels, Seq("id"), "left")
+      .select(col("id"), col("oldValue"), correctOne(col("cands"), col("label")).as("newValue"))
       .where(changed)
-      .select("id", "oldValue", "newValue")
   }
 
   private val changed = col("oldValue").isNull || col("oldValue") =!= col("newValue")
-
-  /** The corrector over scored candidate rows carrying their cell's `label`:
-    * one row per cell — its least-violating candidate — with `newValue`
-    * (null for a cell without candidates).
-    */
-  private def choose(scored: DataFrame, margin: Double): DataFrame = {
-    val byCell = Window.partitionBy(Histogram.cell(scored): _*)
-    val byViol = byCell.orderBy(col("viol").asc, col("normProb").desc, col("value").asc)
-    scored
-      .withColumn("origValue", max(when(col("isOrig"), col("value"))).over(byCell))
-      .withColumn("origViol", max(when(col("isOrig"), col("viol"))).over(byCell))
-      .withColumn("pick", row_number().over(byViol))
-      .where(col("pick") === 1)
-      .withColumn("newValue", coalesce(col("label"),
-        when(col("origValue").isNotNull &&
-             col("origViol") - col("viol") <= lit(margin) * col("totalW"),
-             col("origValue"))
-          .otherwise(col("value"))))
-  }
 
   /** Apply repairs to the input: returns `id, x, y, value` with repaired
     * values substituted.

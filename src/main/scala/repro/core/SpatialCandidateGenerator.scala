@@ -1,9 +1,9 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.math.Ordering.Double.TotalOrdering
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StringType
 
@@ -40,17 +40,19 @@ final case class CandGenParams(
   */
 final case class CandidateResult(candidates: DataFrame, labels: DataFrame, remaining: DataFrame)
 
+/** One candidate of a cell kept by the Phase-3 cutoff, with the cell's total
+  * neighbour weight `totalW` and the three host formats (§5).
+  */
+final case class Candidate(value: String, nearW: Double, isOrig: Boolean, sumW: Double,
+                           prob: Double, normProb: Double, totalW: Double,
+                           viol: Double, p: Double, fg: Double)
+
 /** Corpus-level statistics backing Phase 2: the value-frequency table
   * Count(v, D) and the dataset size |D| (Fig. 3b). By default they come from
   * one shuffle-free pass over the input points; tests reproducing the
   * paper's worked example inject the paper's figures directly.
   */
 final case class ValueStats(counts: Map[String, Long], total: Long) {
-
-  /** Count(v, D) of the `value` column, 1 for a value not in `counts`, read
-    * from a literal map.
-    */
-  def count: Column = coalesce(typedLit(counts).apply(col("value")), lit(1L))
 
   /** The most frequent value (ties: the smallest), if any value is non-null. */
   def modal: Option[String] =
@@ -62,16 +64,18 @@ object ValueStats {
   /** The statistics of `points`, counted per input partition and merged on
     * the driver: one job, no shuffle. The same pass checks the points
     * contract: a `string` value column, and a non-null `id` with finite `x`
-    * and `y` on every record. Unique ids are assumed, not checked (that
-    * would take a shuffle).
+    * and `y` on every record. Each partition also returns its ids sorted,
+    * and the driver merges them to check that no id repeats: the join
+    * tells a record's pair with itself from its neighbours by id.
     */
   def of(points: DataFrame): ValueStats = {
     val valueType = points.schema("value").dataType
     require(valueType == StringType, s"points: value must be a string column, got $valueType")
-    val parts = points.select(col("id"), col("x").cast("double"), col("y").cast("double"), col("value"))
+    val parts = points
+      .select(col("id").cast("long"), col("x").cast("double"), col("y").cast("double"), col("value"))
       .rdd.mapPartitions { rows =>
         val counts = mutable.HashMap.empty[String, Long]
-        var total = 0L
+        val ids = Array.newBuilder[Long]
         var bad: Option[String] = None
         rows.foreach { r =>
           def finite(i: Int) = !r.isNullAt(i) && r.getDouble(i).isFinite
@@ -80,15 +84,18 @@ object ValueStats {
             else if (!finite(1) || !finite(2))
               bad = Some(s"id ${r.get(0)}: non-finite coordinates (${r.get(1)}, ${r.get(2)})")
           }
+          if (!r.isNullAt(0)) ids += r.getLong(0)
           if (!r.isNullAt(3)) counts(r.getString(3)) = counts.getOrElse(r.getString(3), 0L) + 1
-          total += 1
         }
-        Iterator((counts.toMap, total, bad))
+        val sorted = ids.result()
+        java.util.Arrays.sort(sorted)
+        Iterator((counts.toMap, sorted, bad))
       }.collect()
-    parts.flatMap(_._3).headOption.foreach(b => throw new IllegalArgumentException(s"points: $b"))
-    ValueStats(
-      parts.iterator.flatMap(_._1).toSeq.groupMapReduce(_._1)(_._2)(_ + _),
-      parts.map(_._2).sum)
+    val ids = parts.flatMap(_._2)
+    java.util.Arrays.sort(ids) // merges the partitions' sorted runs
+    val dup = ids.indices.drop(1).find(i => ids(i) == ids(i - 1)).map(i => s"duplicate id ${ids(i)}")
+    (parts.flatMap(_._3) ++ dup).headOption.foreach(b => throw new IllegalArgumentException(s"points: $b"))
+    ValueStats(parts.iterator.flatMap(_._1).toSeq.groupMapReduce(_._1)(_._2)(_ + _), ids.length)
   }
 }
 
@@ -107,8 +114,8 @@ object SpatialCandidateGenerator {
   /** Columns of [[CandidateResult.candidates]]. */
   val CandidateColumns: Seq[String] = Seq("id", "value", "nearW", "isOrig", "sumW", "prob", "normProb")
 
-  /** Generate candidates for the erroneous cells: [[perCell]] over the
-    * histogram of `dm`, restricted to `erroneous`.
+  /** Generate candidates for the erroneous cells: the per-cell frame
+    * ([[Sparcle.cellsOf]]) of `dm`, restricted to `erroneous`.
     *
     * @param points     input records: `id, x, y, value`
     * @param dm         DistanceMatrix of the governing spatial constraint
@@ -123,82 +130,45 @@ object SpatialCandidateGenerator {
   def generate(points: DataFrame, dm: DataFrame, erroneous: DataFrame,
                params: CandGenParams = CandGenParams(),
                extraAttrs: Seq[DataFrame] = Nil,
-               stats: Option[ValueStats] = None): CandidateResult =
-    restrict(
-      perCell(points, Histogram.withOwn(dm, points), stats.getOrElse(ValueStats.of(points)),
-              params, extraAttrs),
-      erroneous)
-
-  /** Phases 1–3 for every cell of `hist` (built by [[Histogram.of]]) in
-    * one pass partitioned by cell ([[Histogram.cell]]), erroneous or not: a
-    * cell's candidates depend only on its own histogram rows.
-    *
-    * One row per candidate kept by the MinProb cutoff, for every cell with at
-    * least one candidate; a cell whose rows carry no non-null value keeps its
-    * one row, with a null `value`. Columns: [[CandidateColumns]] plus `v1`
-    * (the cell's own value), `totalW` (its total neighbour weight),
-    * `detected` (the detector's verdict), `rk` (rank by normProb) and `label`
-    * (its Phase-3 label, or null).
-    */
-  def perCell(points: DataFrame, hist: DataFrame, stats: ValueStats, params: CandGenParams,
-              extraAttrs: Seq[DataFrame] = Nil): DataFrame = {
-    val byCell = Window.partitionBy(Histogram.cell(hist): _*)
-    val byProb = byCell.orderBy(col("normProb").desc, col("value"))
-    val candidate = col("value").isNotNull
-
-    // ---- Phase 1: nearby co-occurrences plus the original value.
-    val phase1 = hist
-      .withColumn("nearW", when(candidate, coalesce(col("nearW"), lit(0.0))))
-      .withColumn("isOrig", candidate && (col("value") <=> col("v1")))
-      .withColumn("sumW", when(col("nearW") > 0, col("nearW")).when(candidate, lit(params.defaultWeight)))
-
-    // ---- Phase 2: Naive-Bayes probability with the spatial term.
-    var scored = phase1
-      .withColumn("cntV", stats.count)
-      .withColumn("prob",
-        (col("sumW") / lit(stats.total.toDouble)) *
-        (when(col("isOrig"), lit(1.0)).otherwise(lit(params.minimalityBias)) / col("cntV")))
-
-    // Generic A' factors: Count((v, R.A'), D)/Count(v, D) with minimality
-    // smoothing for unseen pairs. Each frame: (id, a).
-    extraAttrs.zipWithIndex.foreach { case (attr, i) =>
-      val aCol = attr.columns.filterNot(_ == "id").head
-      val withVal = points.select(col("id"), col("value")).join(attr, Seq("id"))
-      val cooc = withVal
-        .where(col("value").isNotNull && col(aCol).isNotNull)
-        .groupBy(col("value"), col(aCol))
-        .agg(count(lit(1)).as(s"cooc_$i"))
-      scored = scored
-        .join(attr.select(col("id"), col(aCol)), Seq("id"), "left")
-        .join(cooc, Seq("value", aCol), "left")
-        .withColumn("prob",
-          col("prob") * (coalesce(col(s"cooc_$i"), lit(params.minimalityBias)) / col("cntV")))
-        .drop(aCol, s"cooc_$i")
-    }
-
-    // ---- Phase 3: normalize, MinProb cutoff (never dropping a cell's best
-    // candidate), MaxProb labeling. totalW is taken before the cutoff: it
-    // sums every neighbour value, as the formulators require.
-    scored
-      .withColumn("totalW", sum("nearW").over(byCell))
-      .withColumn("detected", SpatialErrorDetector.detected(byCell))
-      .withColumn("normProb", col("prob") / sum("prob").over(byCell))
-      .withColumn("rk", row_number().over(byProb))
-      .where(col("normProb") >= params.minProb || col("rk") === 1)
-      .withColumn("label",
-        when(count(lit(1)).over(byCell) === 1 || max("normProb").over(byCell) > params.maxProb,
-             max(when(col("rk") === 1, col("value"))).over(byCell)))
-  }
-
-  /** The generator's outputs for the cells in `erroneous`, from [[perCell]]'s
-    * rows; the candidates keep `columns`.
-    */
-  def restrict(cells: DataFrame, erroneous: DataFrame,
-               columns: Seq[String] = CandidateColumns): CandidateResult = {
+               stats: Option[ValueStats] = None): CandidateResult = {
     val err = erroneous.select("id")
-    val mine = cells.join(err, Seq("id"), "left_semi")
-    val labels = mine.where(col("rk") === 1 && col("label").isNotNull).select("id", "label")
-    CandidateResult(mine.where(col("value").isNotNull).select(columns.map(col): _*), labels,
+    val cells = Sparcle.cellsOf(points, dm, stats.getOrElse(ValueStats.of(points)), params,
+                                Sparcle.DefaultMargin, extraAttrs).join(err, Seq("id"), "left_semi")
+    val labels = labelsOf(cells)
+    CandidateResult(candidatesOf(cells).select(CandidateColumns.map(col): _*), labels,
                     err.join(labels, Seq("id"), "left_anti"))
   }
+
+  /** Phases 1–3 for one cell with histogram `hist`: its candidates kept by
+    * the MinProb cutoff, in rank order (normProb desc, value asc), and its
+    * Phase-3 label, or null. Each of `factors` multiplies a candidate's
+    * Phase-2 probability before normalization.
+    */
+  def phases(hist: Histogram, stats: ValueStats, params: CandGenParams,
+             factors: Seq[String => Double] = Nil): (Seq[Candidate], String) = {
+    val totalW = hist.entries.map(_._2).sum
+    // ---- Phases 1 and 2: the weighted co-occurrence and the probability.
+    val scored = hist.entries.map { case (v, nearW) =>
+      val isOrig = v == hist.own
+      val sumW = if (nearW > 0) nearW else params.defaultWeight
+      val prior = (if (isOrig) 1.0 else params.minimalityBias) / stats.counts.getOrElse(v, 1L).toDouble
+      val prob = factors.foldLeft((sumW / stats.total.toDouble) * prior)((p, f) => p * f(v))
+      val f = SpatialInputFormulator.formats(nearW, totalW)
+      Candidate(v, nearW, isOrig, sumW, prob, normProb = 0.0, totalW, f.viol, f.p, f.fg)
+    }
+    // ---- Phase 3: normalize, MinProb cutoff (never dropping the best
+    // candidate), MaxProb labeling.
+    val mass = scored.map(_.prob).sum
+    val ranked = scored.map(c => c.copy(normProb = c.prob / mass)).sortBy(c => (-c.normProb, c.value))
+    val kept = ranked.take(1) ++ ranked.drop(1).filter(_.normProb >= params.minProb)
+    val label = kept.headOption
+      .filter(top => kept.size == 1 || top.normProb > params.maxProb).map(_.value).orNull
+    (kept, label)
+  }
+
+  /** One row per candidate of a per-cell frame: `id` and the [[Candidate]] columns. */
+  private[repro] def candidatesOf(cells: DataFrame): DataFrame = cells.select(col("id"), inline(col("candidates")))
+
+  /** The Phase-3 labels of a per-cell frame: `id, label`. */
+  private[repro] def labelsOf(cells: DataFrame): DataFrame = cells.where(col("label").isNotNull).select("id", "label")
 }

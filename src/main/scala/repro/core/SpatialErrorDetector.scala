@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.WindowSpec
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Spatial error detector (§3.3, Algorithm 1).
@@ -9,39 +8,34 @@ import org.apache.spark.sql.functions._
   * Every DistanceMatrix row with v1 ≠ v2 moves *both* cells to the erroneous
   * set (at least one of the two conflicting records must be wrong, and we
   * cannot yet tell which). Over the neighbour-value histogram this is: a cell
-  * is erroneous when `hist` holds a non-own value for it, or when it is null
+  * is erroneous when its histogram holds a non-own value, or when it is null
   * — as in every host system the paper plugs into, missing cells are
   * erroneous by definition. Null-valued neighbours never assert a conflict.
   */
 object SpatialErrorDetector {
 
-  /** A `hist` row that conflicts: the cell's own value is non-null and this
-    * neighbour value differs from it.
-    */
-  val conflict: Column = col("v1").isNotNull && col("value") =!= col("v1")
-
-  /** Per-cell detection inside a pass over `hist` partitioned by `byCell`:
-    * any conflicting row, or a null own value.
+  /** The verdict for one cell with histogram `hist`: some neighbour value
+    * differs from its own value, or its own value is null.
     *
-    * Under a kNN constraint the relation is asymmetric, so a conflict can
-    * flag its `r2` cell from the other cell's neighbourhood only. Such a
-    * cell's own neighbours all share its value, so its own value is its only
-    * candidate and it is never repaired; the per-cell pass therefore needs
-    * no `r2` side, while [[erroneousCells]] reports it.
+    * Under a kNN constraint a conflict can flag its `r2` cell from the other
+    * cell's neighbourhood only. Such a cell's own neighbours all share its
+    * value, which is then its only candidate: it is never repaired, so the
+    * verdict needs no `r2` side, while [[erroneousCells]] reports it.
     */
-  def detected(byCell: WindowSpec): Column =
-    max(conflict).over(byCell) || col("v1").isNull
+  def detected(hist: Histogram): Boolean =
+    hist.own == null || hist.entries.exists(_._1 != hist.own)
 
   /** Cells (record ids, since each pipeline run cleans one attribute) deemed
     * erroneous: both participants of a value conflict in `dm`, plus null
     * cells. Result: single-column frame `id`.
     */
   def erroneousCells(points: DataFrame, dm: DataFrame): DataFrame = {
-    val fromHist = Histogram.of(dm).where(conflict).select("id")
-    val fromR2 = dm.where(col("v1").isNotNull && col("v2").isNotNull && col("v1") =!= col("v2"))
-      .select(col("r2").as("id"))
-    val fromNulls = points.where(col("value").isNull).select("id")
-    fromHist.unionByName(fromR2).unionByName(fromNulls).distinct()
+    // A null on either side makes the comparison null, which never conflicts.
+    val conflicts = dm.where(col("v1") =!= col("v2"))
+    conflicts.select(col("r1").as("id"))
+      .unionByName(conflicts.select(col("r2").as("id")))
+      .unionByName(points.where(col("value").isNull).select("id"))
+      .distinct()
   }
 
   /** Complement of [[erroneousCells]] over the input: cells currently deemed

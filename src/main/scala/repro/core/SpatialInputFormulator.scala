@@ -3,6 +3,9 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+/** A candidate's score in each host format. */
+final case class Formats(viol: Double, p: Double, fg: Double)
+
 /** Spatial input formulators (§5): translate Sparcle's candidate evidence
   * into the input format of the host system's error-correction module.
   *
@@ -22,29 +25,23 @@ import org.apache.spark.sql.functions._
   */
 object SpatialInputFormulator {
 
-  /** Total neighbor weight per cell: Σ nearW over the cell's histogram rows,
-    * i.e. Σ w over DistanceMatrix rows of r1 with a non-null neighbor value.
-    * Columns: `id`, `totalW`.
+  /** The three formats of a candidate with weight `nearW` in a cell of total
+    * neighbour weight `totalW`; `p` is 0 in a cell without neighbour weight.
     */
-  def totalWeights(dm: DataFrame): DataFrame =
-    Histogram.of(dm).groupBy("id").agg(sum("nearW").as("totalW"))
+  def formats(nearW: Double, totalW: Double): Formats =
+    Formats(totalW - nearW, if (totalW > 0) nearW / totalW else 0.0, 2.0 * nearW - totalW)
 
-  /** All three host formats for candidate rows carrying `nearW` and `totalW`:
-    * adds `viol` (AimNet, §5.1, Fig. 4a), `p` (Baran, §5.2, Fig. 4b; 0 for a
-    * candidate with no proximity co-occurrence) and `fg` (HoloClean/MLNClean,
-    * §5.3, Fig. 4c).
+  /** [[formats]] for candidates of the DistanceMatrix `dm`: adds `totalW`
+    * (Σ w over the rows of `dm` with a non-null `v2`), `viol` (AimNet, §5.1,
+    * Fig. 4a), `p` (Baran, §5.2, Fig. 4b) and `fg` (HoloClean/MLNClean,
+    * §5.3, Fig. 4c) to the candidate rows.
     */
-  def scores(candidates: DataFrame): DataFrame =
-    candidates
-      .withColumn("viol", col("totalW") - col("nearW"))
-      .withColumn("p",
-        when(col("totalW") > 0, col("nearW") / col("totalW")).otherwise(lit(0.0)))
-      .withColumn("fg", lit(2.0) * col("nearW") - col("totalW"))
-
-  /** [[scores]] for candidates of the DistanceMatrix `dm`.
-    * Columns: candidates ++ (`totalW`, `viol`, `p`, `fg`).
-    */
-  def allFormats(candidates: DataFrame, dm: DataFrame): DataFrame =
-    scores(candidates.join(totalWeights(dm), Seq("id"), "left")
-      .withColumn("totalW", coalesce(col("totalW"), lit(0.0))))
+  def allFormats(candidates: DataFrame, dm: DataFrame): DataFrame = {
+    val of = udf((nearW: Double, totalW: Double) => formats(nearW, totalW))
+    val totalW = Histogram.of(dm).groupBy("id").agg(sum("nearW").as("totalW"))
+    candidates.join(totalW, Seq("id"), "left")
+      .withColumn("totalW", coalesce(col("totalW"), lit(0.0)))
+      .withColumn("f", of(col("nearW"), col("totalW")))
+      .select(candidates.columns.toSeq.map(col) ++ Seq(col("totalW"), col("f.*")): _*)
+  }
 }

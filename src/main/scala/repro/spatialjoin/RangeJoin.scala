@@ -1,7 +1,18 @@
 package repro.spatialjoin
 
+import scala.reflect.runtime.universe.TypeTag
+
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+
+/** A point's copy in a grid cell: `probe` in its home cell, `build` when probes pair with it. */
+final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Boolean, build: Boolean)
+
+/** A pair of the join: `r2` lies within the distance of probe `r1`. */
+final case class Pair(r1: Long, r2: Long, v1: String, v2: String, dist: Double)
+
+/** Copies grouped by cell (`frame`: `cx, cy, ps: array<Copy>`) and the join's distance test. */
+final case class Cells(frame: DataFrame, near: Double => Boolean)
 
 /** Grid-binned spatial distance self-join.
   *
@@ -10,20 +21,18 @@ import org.apache.spark.sql.functions._
   * other, computed partition-locally in the manner of PBSM (Patel & DeWitt,
   * SIGMOD 1996). Space is cut into grid cells of side `d`. Every point is
   * copied into the 3×3 cells around its home cell, the copy in the home cell
-  * being its *probe*; one exchange groups the copies by cell, and each cell
-  * pairs its probes with all its copies within exact Euclidean distance
-  * `d`. A pair within `d` lies in neighbouring cells, so exactly one
-  * copy of the second point meets the probe of the first.
-  *
-  * The join body's output, the *cell pairs*, keeps the cell key `(cx, cy)`
-  * and each probe's pair with itself, and is hash-partitioned by the key: a
-  * caller grouping by `(cx, cy, r1)` needs no further exchange. The public
-  * joins are views over it that drop the key and the self pairs.
+  * being its *probe*; one exchange groups the copies by cell, and one loop
+  * per cell ([[scan]]) pairs its probes with all its copies within exact
+  * Euclidean distance `d`. A pair within `d` lies in neighbouring cells, so
+  * exactly one copy of the second point meets the probe of the first. The
+  * public joins emit the loop's pairs as rows; `Sparcle.clean` reduces them
+  * inside the loop instead.
   *
   * Input contract ("points" frame): columns `id: long`, `x: double`,
-  * `y: double` (planar meters), `value: string` (nullable). Output columns:
-  * `r1, r2, v1, v2, dist` with `r1 != r2` and `dist < d`; both orientations
-  * of every pair are emitted, matching the paper's DistanceMatrix (Fig. 3c).
+  * `y: double` (planar meters), `value: string` (nullable), unique ids.
+  * Output columns: `r1, r2, v1, v2, dist` with `r1 != r2` and `dist < d`;
+  * both orientations of every pair are emitted, matching the paper's
+  * DistanceMatrix (Fig. 3c).
   */
 object RangeJoin {
 
@@ -31,7 +40,7 @@ object RangeJoin {
     * `d`. Null-valued records participate on both sides (the error detector
     * and candidate generator decide how to treat null values).
     */
-  def pairs(points: DataFrame, d: Double): DataFrame = view(cellPairs(points, d))
+  def pairs(points: DataFrame, d: Double): DataFrame = emit(cells(points, d))
 
   /** Asymmetric variant: pairs (r1 from `probe`, r2 from `build`) within
     * strict distance `d`, excluding identical ids. Used by the iterative kNN
@@ -39,7 +48,7 @@ object RangeJoin {
     * Both frames follow the points contract.
     */
   def pairsAsym(probe: DataFrame, build: DataFrame, d: Double): DataFrame =
-    view(join(
+    emit(group(
       copies(probe, grid(d), reach = 0, probes = true, builds = false)
         .unionByName(copies(build, grid(d), reach = 1, probes = false, builds = true)),
       _ < d))
@@ -50,21 +59,39 @@ object RangeJoin {
     * they equi-join on (Latitude, Longitude). Output matches [[pairs]] with
     * `dist` 0.
     */
-  def exactPairs(points: DataFrame): DataFrame = view(locationPairs(points))
+  def exactPairs(points: DataFrame): DataFrame = emit(locations(points))
 
-  /** Cell pairs of the range join: `cx, cy, r1, r2, v1, v2, dist`, every
-    * pair with `dist < d` plus each record's pair with itself.
-    */
-  private[repro] def cellPairs(points: DataFrame, d: Double): DataFrame =
-    join(copies(points, grid(d), reach = 1, probes = true, builds = true), _ < d)
+  /** The copies of the range join, grouped by grid cell of side `d`. */
+  private[repro] def cells(points: DataFrame, d: Double): Cells =
+    group(copies(points, grid(d), reach = 1, probes = true, builds = true), _ < d)
 
-  /** Cell pairs of the exact-location join: a group-by on the location,
+  /** The copies of the exact-location join: a group-by on the location,
     * whose cell key is the coordinates' bit patterns (a key on the doubles
     * themselves would be normalized by Spark and re-shuffled downstream).
     */
-  private[repro] def locationPairs(points: DataFrame): DataFrame =
-    join(copies(points, (bits(col("x")), bits(col("y"))), reach = 0, probes = true, builds = true),
-         _ === 0.0)
+  private[repro] def locations(points: DataFrame): Cells =
+    group(copies(points, (bits(col("x")), bits(col("y"))), reach = 0, probes = true, builds = true),
+          _ == 0.0)
+
+  /** The join loop of one cell: `f` of each probe, in list order, with
+    * its build copies (and their distance) that pass `near`, in list order.
+    * A copy with the probe's id is not its neighbour. The distance is
+    * Spark's `sqrt(pow(dx, 2) + pow(dy, 2))`, bit for bit.
+    */
+  private def scan[A](ps: Seq[Copy], near: Double => Boolean)
+                     (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): Seq[A] =
+    ps.filter(_.probe).flatMap { a =>
+      f(a, ps.iterator.filter(b => b.build && b.id != a.id)
+        .map(b => (b, math.sqrt(StrictMath.pow(a.x - b.x, 2) + StrictMath.pow(a.y - b.y, 2))))
+        .filter { case (_, dist) => near(dist) })
+    }
+
+  /** The rows `f` gives for every probe of `cells`, by [[scan]] in each cell. */
+  private[repro] def reduce[A <: Product : TypeTag](cells: Cells)
+                                                   (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): DataFrame = {
+    val near = cells.near
+    cells.frame.select(inline(udf((ps: Seq[Copy]) => scan(ps, near)(f)).apply(col("ps"))))
+  }
 
   /** Grid cell of side `d`. */
   private def grid(d: Double): (Column, Column) = {
@@ -75,10 +102,7 @@ object RangeJoin {
   /** IEEE bits of a coordinate, with −0.0 folded into 0.0. */
   private val bits = udf((v: Double) => java.lang.Double.doubleToLongBits(v + 0.0))
 
-  /** Each point's copies in the cells within `reach` of its home cell:
-    * `cx, cy, p`, where `p` carries the point, `probe` (set on the home copy
-    * when `probes`) and `build` (set when `builds`).
-    */
+  /** Each point's [[Copy]] `p` in each cell `cx, cy` within `reach` of its home cell. */
   private def copies(points: DataFrame, home: (Column, Column), reach: Int,
                      probes: Boolean, builds: Boolean): DataFrame = {
     val offsets = array((-reach to reach).map(lit): _*)
@@ -93,23 +117,14 @@ object RangeJoin {
                lit(builds).as("build")).as("p"))
   }
 
-  /** The one join body: group the copies by cell, then pair each probe
-    * with every build copy of its cell whose distance passes `near`. The
-    * copies are hash-partitioned by cell before the grouping, so the
-    * grouping itself runs after the exchange and no partial lists are built
-    * on the map side.
+  /** The join's one exchange: the copies hash-partitioned by cell, then
+    * listed per cell after it (no partial lists on the map side).
     */
-  private def join(copies: DataFrame, near: Column => Column): DataFrame =
-    copies.repartition(col("cx"), col("cy"))
-      .groupBy("cx", "cy").agg(collect_list("p").as("ps"))
-      .select(col("cx"), col("cy"), col("ps"), explode(filter(col("ps"), _("probe"))).as("a"))
-      .select(col("cx"), col("cy"), col("a"), explode(col("ps")).as("b"))
-      .withColumn("dist", sqrt(pow(col("a.x") - col("b.x"), 2) + pow(col("a.y") - col("b.y"), 2)))
-      .where(col("b.build") && near(col("dist")))
-      .select(col("cx"), col("cy"), col("a.id").as("r1"), col("b.id").as("r2"),
-              col("a.value").as("v1"), col("b.value").as("v2"), col("dist"))
+  private def group(copies: DataFrame, near: Double => Boolean): Cells =
+    Cells(copies.repartition(col("cx"), col("cy")).groupBy("cx", "cy").agg(collect_list("p").as("ps")),
+          near)
 
-  /** The public pair relation: cell pairs without the key and self pairs. */
-  private def view(cellPairs: DataFrame): DataFrame =
-    cellPairs.where(col("r1") =!= col("r2")).select("r1", "r2", "v1", "v2", "dist")
+  /** The pair emitter: every pair [[scan]] finds, as a row. */
+  private def emit(cells: Cells): DataFrame =
+    reduce(cells)((a, bs) => bs.map { case (b, dist) => Pair(a.id, b.id, a.value, b.value, dist) })
 }

@@ -8,7 +8,8 @@ import repro.{SparkSpec, TestPoints}
 import repro.cleaning.HoloCleanLike
 
 /** The points contract, checked by the value-statistics pass every `clean`
-  * call makes: a non-null `id`, finite `x` and `y`, and a `string` value.
+  * call makes: a non-null `id`, finite `x` and `y`, a `string` value, and no
+  * id given twice.
   */
 class InputContractSpec extends SparkSpec {
 
@@ -46,5 +47,13 @@ class InputContractSpec extends SparkSpec {
     val msg = rejects(pts)
     assert(msg.contains("value must be a string column"), msg)
     assert(msg.contains("IntegerType"), msg)
+  }
+
+  test("a duplicated id is rejected, naming it") {
+    // Records 3 ("a") and 3 ("b") are within d of each other and of the rest.
+    val msg = rejects(frame(Seq(
+      Row(1L, 0.0, 0.0, "a"), Row(2L, 1.0, 0.0, "a"), Row(3L, 2.0, 0.0, "a"),
+      Row(3L, 3.0, 0.0, "b"), Row(4L, 4.0, 0.0, "a"), Row(5L, 5.0, 0.0, "a"))))
+    assert(msg.contains("duplicate id 3"), msg)
   }
 }

@@ -65,4 +65,23 @@ class PipelinePropertiesSpec extends SparkSpec {
       assert(tiny == exact, s"seed $seed")
     }
   }
+
+  test("repairs do not depend on the record ids") {
+    // kNN breaks distance ties by id, so its input has no co-located points.
+    val cases: Seq[(String, Seq[TestPoints.Pt], DataFrame => DataFrame)] = Seq(
+      ("SpatialRange n=2", sample(106L), Sparcle.clean(_, SparcleParams(SpatialRange(200, PowerWeight(2)))).repairs),
+      ("ExactLocation", sample(106L), Sparcle.clean(_, SparcleParams(ExactLocation)).repairs),
+      ("HoloCleanLike", sample(106L), HoloCleanLike.clean(_).repairs),
+      ("SpatialKnn", TestPoints.random(300, 1500, 4, seed = 107, nullEvery = 6),
+       Sparcle.clean(_, SparcleParams(SpatialKnn(5, PowerWeight(2)))).repairs))
+    for ((name, raw, clean) <- cases) {
+      val ids = raw.map(_._1)
+      val relabel = ids.zip(new scala.util.Random(108).shuffle(ids.map(_ * 37 + 1000))).toMap
+      val back = relabel.map(_.swap)
+      val original = repairs(clean(TestPoints.df(spark, raw)))
+      val relabelled = repairs(clean(TestPoints.df(spark, raw.map { case (id, x, y, v) => (relabel(id), x, y, v) })))
+      assert(original.nonEmpty, s"$name must repair something")
+      assert(relabelled.map { case (id, o, n) => (back(id), o, n) }.sortBy(_._1) == original, name)
+    }
+  }
 }
