@@ -26,11 +26,15 @@ object DistanceMatrix {
         RangeJoin.pairs(points, d).withColumn("w", w.expr(col("dist"), lit(d)))
       case ExactLocation =>
         RangeJoin.exactPairs(points).withColumn("w", lit(1.0))
-      case SpatialKnn(k, w) =>
-        // dk = 0 happens only when all k neighbors sit at the exact same
-        // location; they are perfect co-occurrences, so weight 1.
-        KnnJoin.pairs(points, k)
-          .withColumn("w", when(col("dk") === 0.0, lit(1.0)).otherwise(w.expr(col("dist"), col("dk"))))
-          .select("r1", "r2", "v1", "v2", "dist", "w")
+      case SpatialKnn(k, w) => knn(KnnJoin.pairs(points, k), w)
     }
+
+  /** The DistanceMatrix of kNN pairs (`KnnJoin.pairs`' columns), weighted by
+    * `w` with the kth neighbour's distance `dk` as its "d".
+    */
+  private[repro] def knn(pairs: DataFrame, w: WeightFn): DataFrame =
+    // dk = 0 happens only when all k neighbors sit at the exact same
+    // location; they are perfect co-occurrences, so weight 1.
+    pairs.withColumn("w", when(col("dk") === 0.0, lit(1.0)).otherwise(w.expr(col("dist"), col("dk"))))
+      .select("r1", "r2", "v1", "v2", "dist", "w")
 }

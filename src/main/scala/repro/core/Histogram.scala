@@ -39,12 +39,4 @@ object Histogram {
     dm.where(col("v2").isNotNull || col("r1") === col("r2"))
       .groupBy(col("r1").as("id"), col("v1"), col("v2").as("value"))
       .agg(sum(when(col("r1") =!= col("r2"), col("w"))).as("nearW"))
-
-  /** [[of]] over the DistanceMatrix `dm` plus each non-null cell's row for
-    * its own value: the rows a [[Histogram]] holds per cell.
-    */
-  def withOwn(dm: DataFrame, points: DataFrame): DataFrame =
-    of(dm.unionByName(points.where(col("value").isNotNull).select(
-      col("id").as("r1"), col("id").as("r2"), col("value").as("v1"), col("value").as("v2"),
-      lit(0.0).as("dist"), lit(null).cast("double").as("w"))))
 }

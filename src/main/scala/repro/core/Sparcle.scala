@@ -2,10 +2,10 @@ package repro.core
 
 import scala.math.Ordering.Double.TotalOrdering
 
-import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 
-import repro.spatialjoin.{Copy, RangeJoin}
+import repro.spatialjoin.{Copy, KnnJoin, RangeJoin}
 
 /** End-to-end Sparcle configuration for one spatial functional dependency
   * (Lat, Lon) → A.
@@ -26,7 +26,8 @@ final case class SparcleParams(
   * spatial join and, inside it, one loop per grid cell.
   *
   * @param dm         the DistanceMatrix (a debug and oracle view; a range or
-  *                   exact-location run never builds it)
+  *                   exact-location run never builds it, a kNN run reads it
+  *                   only for `erroneous`)
   * @param erroneous  cell ids flagged by the spatial error detector
   * @param candidates post-cutoff candidate lists with all formulator scores
   * @param labels     Phase-3 auto-labels
@@ -64,12 +65,12 @@ final case class Cell(id: Long, v1: String, detected: Boolean, candidates: Seq[C
   * semantics.
   *
   * Execution: every stage after the join reads only one cell's neighbour
-  * histogram, so [[decide]] runs them all per cell. A range or exact-location
-  * run calls it inside the join's loop per grid cell, behind the join's one
-  * shuffle; a kNN run groups its relation by `r1` ([[cellsOf]]). Either way
-  * `erroneous`, `candidates`, `labels` and `repairs` are projections of the
-  * per-cell frame, one [[Cell]] per row. The DistanceMatrix-input layer
-  * functions (`generate`, `allFormats`, [[repairsFrom]]) share these functions.
+  * histogram, so [[decide]] runs them all per cell, inside the join's loop
+  * per grid cell: behind the range or exact-location join's one shuffle, or
+  * in the round of the kNN join that finalizes the cell. `erroneous`,
+  * `candidates`, `labels` and `repairs` are projections of the per-cell
+  * frame, one [[Cell]] per row. The DistanceMatrix-input layer functions
+  * (`generate`, `allFormats`, [[repairsFrom]]) share these functions.
   */
 object Sparcle {
 
@@ -88,15 +89,20 @@ object Sparcle {
   private[repro] def run(points: DataFrame, params: SparcleParams, stats: ValueStats,
                          fallback: Option[String]): SparcleResult = {
     val SparcleParams(constraint, candGen, margin) = params
-    val dm = DistanceMatrix.build(points, constraint)
     // Decides each probe's cell in the join's loop, weighing its neighbours by distance.
     val inJoin = (weight: Double => Double) => (a: Copy, neighbours: Iterator[(Copy, Double)]) =>
       Some(decide(a.id, new Histogram(a.value, neighbours.map { case (b, dist) => (b.value, weight(dist)) }),
                   stats, candGen, margin))
-    val cells = constraint match {
-      case SpatialRange(d, w) => RangeJoin.reduce(RangeJoin.cells(points, d))(inJoin(w.weight(_, d)))
-      case ExactLocation      => RangeJoin.reduce(RangeJoin.locations(points))(inJoin(_ => 1.0))
-      case _: SpatialKnn      => cellsOf(points, dm, stats, candGen, margin)
+    val (dm, cells) = constraint match {
+      case SpatialRange(d, w) =>
+        (DistanceMatrix.build(points, constraint), RangeJoin.reduce(RangeJoin.cells(points, d))(inJoin(w.weight(_, d))))
+      case ExactLocation =>
+        (DistanceMatrix.build(points, constraint), RangeJoin.reduce(RangeJoin.locations(points))(inJoin(_ => 1.0)))
+      case SpatialKnn(k, w) =>
+        // One search of the radius rounds serves the DistanceMatrix and the cells.
+        val rounds = KnnJoin.rounds(points, k)
+        (DistanceMatrix.knn(rounds.pairs, w),
+         rounds.reduce((a, nbs, dk) => inJoin(dist => if (dk == 0) 1.0 else w.weight(dist, dk))(a, nbs.iterator)))
     }
     // The kNN relation is asymmetric: a conflict also flags its r2 cell.
     val flagged = constraint match {
@@ -115,11 +121,10 @@ object Sparcle {
 
   /** The per-cell kernel (§3.3–§5): for cell `id` with histogram `hist`,
     * the detector's verdict, Phases 1–3 with the host formats, and the
-    * corrector's choice. `factors` are the Phase-2 A′ factors.
+    * corrector's choice.
     */
-  def decide(id: Long, hist: Histogram, stats: ValueStats, candGen: CandGenParams, margin: Double,
-             factors: Seq[String => Double] = Nil): Cell = {
-    val (candidates, label) = SpatialCandidateGenerator.phases(hist, stats, candGen, factors)
+  def decide(id: Long, hist: Histogram, stats: ValueStats, candGen: CandGenParams, margin: Double): Cell = {
+    val (candidates, label) = SpatialCandidateGenerator.phases(hist, stats, candGen)
     Cell(id, hist.own, SpatialErrorDetector.detected(hist), candidates, label,
          correct(candidates, label, margin))
   }
@@ -137,32 +142,6 @@ object Sparcle {
       candidates.find(_.isOrig).filter(o => o.viol - pick.viol <= margin * pick.totalW)
         .getOrElse(pick).value
     }
-
-  /** The per-cell frame of a pair relation `(r1, v2, w)` — the kNN relation
-    * or a DistanceMatrix — with one cell per record of `points`, whose
-    * neighbours are grouped by `r1` and summed in list order. Each `(id, a)`
-    * frame of `extraAttrs` adds the Phase-2 factor Count((v, R.A′), D) /
-    * Count(v, D), with the minimality pseudo-count for an unseen pair.
-    */
-  private[repro] def cellsOf(points: DataFrame, relation: DataFrame, stats: ValueStats,
-                             candGen: CandGenParams, margin: Double,
-                             extraAttrs: Seq[DataFrame] = Nil): DataFrame = {
-    val attrs = extraAttrs.zipWithIndex.map { case (a, i) =>
-      a.select(col("id"), col(a.columns.filterNot(_ == "id").head).as(s"a$i")) }
-    val cooc = attrs.map(a => points.join(a, Seq("id")).select(col("value"), col(a.columns(1)))
-      .na.drop().groupBy("value", a.columns(1)).count().collect()
-      .map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap)
-    val decideOne = udf((id: Long, v1: String, nbs: Seq[Row], as: Seq[String]) => {
-      val hist = new Histogram(v1, Option(nbs).getOrElse(Nil).map(nb => (nb.getString(0), nb.getDouble(1))))
-      decide(id, hist, stats, candGen, margin, as.zip(cooc).map { case (a, n) => (v: String) =>
-        n.get((v, a)).fold(candGen.minimalityBias)(_.toDouble) / stats.counts.getOrElse(v, 1L).toDouble })
-    })
-    val nbs = relation.groupBy(col("r1").as("id")).agg(collect_list(struct("v2", "w")).as("nbs"))
-    attrs.foldLeft(points.join(nbs, Seq("id"), "left"))(_.join(_, Seq("id"), "left"))
-      .select(decideOne(col("id"), col("value"), col("nbs"),
-                        array(attrs.map(a => col(a.columns(1))): _*).cast("array<string>")).as("c"))
-      .select("c.*")
-  }
 
   /** The corrector over scored candidate rows, with every [[Candidate]]
     * column (as `SpatialInputFormulator.allFormats` gives them), and the
@@ -183,12 +162,4 @@ object Sparcle {
   }
 
   private val changed = col("oldValue").isNull || col("oldValue") =!= col("newValue")
-
-  /** Apply repairs to the input: returns `id, x, y, value` with repaired
-    * values substituted.
-    */
-  def applyRepairs(points: DataFrame, repairs: DataFrame): DataFrame =
-    points.join(repairs.select(col("id"), col("newValue")), Seq("id"), "left")
-      .select(col("id"), col("x"), col("y"),
-              coalesce(col("newValue"), col("value")).as("value"))
 }

@@ -3,7 +3,7 @@ package repro.core
 import scala.collection.mutable
 import scala.math.Ordering.Double.TotalOrdering
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StringType
 
@@ -105,8 +105,9 @@ object ValueStats {
   * as a distance-weighted sum — the neighbour-value histogram. Phase 2 scores
   * each candidate with the spatially-relaxed Naive-Bayes estimate
   * `Prob(C=v) = |Spatial(v,R)|/|D| × Π_{A'} Count((v,R.A'),D)/Count(v,D)`,
-  * where the record-identifier attribute contributes 1/Count(v,D) for the
-  * cell's original value and minimalityBias/Count(v,D) otherwise. Phase 3
+  * where A′ is the record-identifier attribute alone (the paper's
+  * experiments mute the non-spatial signals): it contributes 1/Count(v,D)
+  * for the cell's original value and minimalityBias/Count(v,D) otherwise. Phase 3
   * normalizes, applies the MinProb cutoff and auto-labels dominant cells.
   */
 object SpatialCandidateGenerator {
@@ -114,26 +115,27 @@ object SpatialCandidateGenerator {
   /** Columns of [[CandidateResult.candidates]]. */
   val CandidateColumns: Seq[String] = Seq("id", "value", "nearW", "isOrig", "sumW", "prob", "normProb")
 
-  /** Generate candidates for the erroneous cells: the per-cell frame
-    * ([[Sparcle.cellsOf]]) of `dm`, restricted to `erroneous`.
+  /** Generate candidates for the erroneous cells: the per-cell kernel
+    * (`Sparcle.decide`) on each cell's rows of `dm`, grouped by `r1` and
+    * summed in list order, for the cells of `erroneous`.
     *
-    * @param points     input records: `id, x, y, value`
-    * @param dm         DistanceMatrix of the governing spatial constraint
-    * @param erroneous  cell ids flagged by the spatial error detector
-    * @param params     generation parameters
-    * @param extraAttrs optional additional non-spatial evidence attributes
-    *                   A′ (beyond the implicit record identifier): frames of
-    *                   `(id, a)` each contributing a
-    *                   Count((v, R.A'), D)/Count(v, D) factor, with the
-    *                   minimality pseudo-count for unseen pairs
+    * @param points    input records: `id, x, y, value`
+    * @param dm        DistanceMatrix of the governing spatial constraint
+    * @param erroneous cell ids flagged by the spatial error detector
+    * @param params    generation parameters
     */
   def generate(points: DataFrame, dm: DataFrame, erroneous: DataFrame,
                params: CandGenParams = CandGenParams(),
-               extraAttrs: Seq[DataFrame] = Nil,
                stats: Option[ValueStats] = None): CandidateResult = {
     val err = erroneous.select("id")
-    val cells = Sparcle.cellsOf(points, dm, stats.getOrElse(ValueStats.of(points)), params,
-                                Sparcle.DefaultMargin, extraAttrs).join(err, Seq("id"), "left_semi")
+    val st = stats.getOrElse(ValueStats.of(points))
+    val decideOne = udf((id: Long, v1: String, nbs: Seq[Row]) => Sparcle.decide(id,
+      new Histogram(v1, Option(nbs).getOrElse(Nil).map(nb => (nb.getString(0), nb.getDouble(1)))),
+      st, params, Sparcle.DefaultMargin))
+    val nbs = dm.groupBy(col("r1").as("id")).agg(collect_list(struct("v2", "w")).as("nbs"))
+    val cells = points.join(nbs, Seq("id"), "left")
+      .select(decideOne(col("id"), col("value"), col("nbs")).as("c")).select("c.*")
+      .join(err, Seq("id"), "left_semi")
     val labels = labelsOf(cells)
     CandidateResult(candidatesOf(cells).select(CandidateColumns.map(col): _*), labels,
                     err.join(labels, Seq("id"), "left_anti"))
@@ -141,18 +143,16 @@ object SpatialCandidateGenerator {
 
   /** Phases 1–3 for one cell with histogram `hist`: its candidates kept by
     * the MinProb cutoff, in rank order (normProb desc, value asc), and its
-    * Phase-3 label, or null. Each of `factors` multiplies a candidate's
-    * Phase-2 probability before normalization.
+    * Phase-3 label, or null.
     */
-  def phases(hist: Histogram, stats: ValueStats, params: CandGenParams,
-             factors: Seq[String => Double] = Nil): (Seq[Candidate], String) = {
+  def phases(hist: Histogram, stats: ValueStats, params: CandGenParams): (Seq[Candidate], String) = {
     val totalW = hist.entries.map(_._2).sum
     // ---- Phases 1 and 2: the weighted co-occurrence and the probability.
     val scored = hist.entries.map { case (v, nearW) =>
       val isOrig = v == hist.own
       val sumW = if (nearW > 0) nearW else params.defaultWeight
       val prior = (if (isOrig) 1.0 else params.minimalityBias) / stats.counts.getOrElse(v, 1L).toDouble
-      val prob = factors.foldLeft((sumW / stats.total.toDouble) * prior)((p, f) => p * f(v))
+      val prob = (sumW / stats.total.toDouble) * prior
       val f = SpatialInputFormulator.formats(nearW, totalW)
       Candidate(v, nearW, isOrig, sumW, prob, normProb = 0.0, totalW, f.viol, f.p, f.fg)
     }

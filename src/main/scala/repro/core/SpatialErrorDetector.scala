@@ -37,10 +37,4 @@ object SpatialErrorDetector {
       .unionByName(points.where(col("value").isNull).select("id"))
       .distinct()
   }
-
-  /** Complement of [[erroneousCells]] over the input: cells currently deemed
-    * clean. Result: single-column frame `id`.
-    */
-  def cleanCells(points: DataFrame, erroneous: DataFrame): DataFrame =
-    points.select("id").join(erroneous, Seq("id"), "left_anti")
 }

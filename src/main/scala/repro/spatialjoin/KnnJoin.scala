@@ -1,13 +1,49 @@
 package repro.spatialjoin
 
 import scala.collection.mutable.ListBuffer
+import scala.math.Ordering.Double.TotalOrdering
+import scala.reflect.runtime.universe.TypeTag
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** k-nearest-neighbor self-join, built on [[RangeJoin]] with a growing
-  * search radius.
+/** A pair of the kNN join: `r2` is one of the k nearest neighbours of `r1`, whose kth lies at `dk`. */
+final case class KnnPair(r1: Long, r2: Long, v1: String, v2: String, dist: Double, dk: Double)
+
+/** The searched radius rounds of a kNN self-join: each round's cells
+  * ([[RangeJoin.cells]] at its radius) with the ids still open before it
+  * (None: every point).
+  */
+private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[Set[Long]])]) {
+
+  /** The rows `f` gives for every probe with its k nearest neighbours (and
+    * their distance) in (dist, id) order and `dk`, the last one's distance.
+    * A probe is finalized in the first round where it has ≥ k neighbours
+    * within the radius, and the last round finalizes every probe still
+    * open: its radius exceeds the extent, or no probe stays open after it.
+    */
+  def reduce[A <: Product : TypeTag](f: (Copy, Seq[(Copy, Double)], Double) => IterableOnce[A]): DataFrame = {
+    val k = kEff
+    rounds.zipWithIndex.map { case ((cells, open), i) =>
+      val last = i == rounds.size - 1
+      RangeJoin.reduce(cells) { (a, bs) =>
+        lazy val nbs = bs.toSeq
+        if (!open.forall(_(a.id)) || nbs.size < k && !last) Nil
+        else {
+          val top = nbs.sortBy { case (b, dist) => (dist, b.id) }.take(k)
+          f(a, top, top.lastOption.fold(0.0)(_._2))
+        }
+      }
+    }.reduce(_ unionByName _)
+  }
+
+  /** The kNN pairs: `r1, r2, v1, v2, dist, dk` for each of r1's k nearest neighbours r2. */
+  def pairs: DataFrame =
+    reduce((a, nbs, dk) => nbs.map { case (b, dist) => KnnPair(a.id, b.id, a.value, b.value, dist, dk) })
+}
+
+/** k-nearest-neighbor self-join, built on [[RangeJoin]]'s loop with a
+  * growing search radius.
   *
   * The input sets the radii. One aggregate job reads the record count n and
   * the extent diagonal. The last radius lies just above the diagonal, so
@@ -16,12 +52,15 @@ import org.apache.spark.sql.functions._
   * the radius doubles from there, so there are at most ½·log₂(n/k) + 2
   * rounds.
   *
-  * Each round range-joins the probes still open against all points; a probe
-  * with ≥ k candidates within radius r is finalized, since its true
-  * kth-nearest distance is then < r and the candidates hold its true kNN.
-  * The driver collects the ids still open, and the next round's probes are
-  * the input filtered by them: every round's plan reads only the input, and
-  * nothing is persisted.
+  * Each round is two reducers of the range join's loop over the grid of its
+  * radius r, run only for the probes still open. A probe with ≥ k
+  * neighbours within r is finalized, since its true kth-nearest distance is
+  * then < r and those neighbours hold its true kNN. One reducer emits the ids
+  * still open, which the driver collects; the set is captured in the next
+  * round's closures, so every round's plan reads only the input and nothing
+  * is persisted. The other, run lazily by the consumer ([[KnnRounds.reduce]]),
+  * hands each finalized probe's k nearest to the consumer's function: the
+  * pair emitter of [[pairs]], or `Sparcle.clean`'s per-cell kernel.
   *
   * Output columns: `r1, r2, v1, v2, dist, dk` where r2 ranges over the k
   * nearest neighbors of r1 (ties broken by (dist, r2) for determinism) and
@@ -31,7 +70,12 @@ import org.apache.spark.sql.functions._
   */
 object KnnJoin {
 
-  def pairs(points: DataFrame, k: Int): DataFrame = {
+  def pairs(points: DataFrame, k: Int): DataFrame = rounds(points, k).pairs
+
+  /** The radius rounds of `points`' kNN join: runs the extent job and one
+    * open-id collect per round before the last.
+    */
+  private[repro] def rounds(points: DataFrame, k: Int): KnnRounds = {
     require(k >= 1, s"k must be >= 1, got $k")
 
     val extent = points.agg(count(lit(1)),
@@ -46,25 +90,16 @@ object KnnJoin {
     val first = if (kEff == 0) last else last * math.sqrt(kEff.toDouble / n)
     val radii = Iterator.iterate(first)(_ * 2).takeWhile(_ < last).toSeq :+ last
 
-    // Each round's candidates, restricted to the probes it finalizes.
-    val finalized = ListBuffer.empty[DataFrame]
+    val rounds = ListBuffer.empty[(Cells, Option[Set[Long]])]
     var open: Option[Set[Long]] = None // None: every point
     for (r <- radii if open.forall(_.nonEmpty)) {
-      val probes = open.fold(points)(ids => points.where(col("id").isInCollection(ids)))
-      val cand = RangeJoin.pairsAsym(probes, points, r)
-      val done = cand.groupBy(col("r1").as("id")).count().where(col("count") >= kEff)
-      val stillOpen =
-        if (r == last) Set.empty[Long]
-        else probes.select("id").join(done, Seq("id"), "left_anti").collect().map(_.getLong(0)).toSet
-      finalized += cand.where(!col("r1").isInCollection(stillOpen))
-      open = Some(stillOpen)
+      val cells = RangeJoin.cells(points, r)
+      val before = open // the closures capture this round's set, not the var
+      rounds += cells -> before
+      if (r < last) open = Some(RangeJoin.reduce(cells)((a, bs) =>
+        if (before.forall(_(a.id)) && bs.take(kEff).size < kEff) Some(Tuple1(a.id)) else None)
+        .collect().map(_.getLong(0)).toSet)
     }
-
-    val byDist = Window.partitionBy("r1").orderBy(col("dist"), col("r2"))
-    finalized.reduce(_ unionByName _)
-      .withColumn("rank", row_number().over(byDist))
-      .where(col("rank") <= kEff)
-      .withColumn("dk", max(col("dist")).over(Window.partitionBy("r1")))
-      .select("r1", "r2", "v1", "v2", "dist", "dk")
+    KnnRounds(kEff, rounds.toSeq)
   }
 }

@@ -5,8 +5,8 @@ import scala.reflect.runtime.universe.TypeTag
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-/** A point's copy in a grid cell: `probe` in its home cell, `build` when probes pair with it. */
-final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Boolean, build: Boolean)
+/** A point's copy in a grid cell; the copy in its home cell is its `probe`. */
+final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Boolean)
 
 /** A pair of the join: `r2` lies within the distance of probe `r1`. */
 final case class Pair(r1: Long, r2: Long, v1: String, v2: String, dist: Double)
@@ -25,8 +25,8 @@ final case class Cells(frame: DataFrame, near: Double => Boolean)
   * per cell ([[scan]]) pairs its probes with all its copies within exact
   * Euclidean distance `d`. A pair within `d` lies in neighbouring cells, so
   * exactly one copy of the second point meets the probe of the first. The
-  * public joins emit the loop's pairs as rows; `Sparcle.clean` reduces them
-  * inside the loop instead.
+  * public joins emit the loop's pairs as rows; `Sparcle.clean` and each
+  * radius round of [[KnnJoin]] reduce them inside the loop instead.
   *
   * Input contract ("points" frame): columns `id: long`, `x: double`,
   * `y: double` (planar meters), `value: string` (nullable), unique ids.
@@ -42,17 +42,6 @@ object RangeJoin {
     */
   def pairs(points: DataFrame, d: Double): DataFrame = emit(cells(points, d))
 
-  /** Asymmetric variant: pairs (r1 from `probe`, r2 from `build`) within
-    * strict distance `d`, excluding identical ids. Used by the iterative kNN
-    * join, where only a shrinking subset of probes still needs neighbors.
-    * Both frames follow the points contract.
-    */
-  def pairsAsym(probe: DataFrame, build: DataFrame, d: Double): DataFrame =
-    emit(group(
-      copies(probe, grid(d), reach = 0, probes = true, builds = false)
-        .unionByName(copies(build, grid(d), reach = 1, probes = false, builds = true)),
-      _ < d))
-
   /** Exact-location self-join: pairs of distinct records at identical
     * coordinates. This is the degenerate "d → 0" join that classic
     * denial-constraint systems (HoloClean et al.) effectively perform when
@@ -63,25 +52,24 @@ object RangeJoin {
 
   /** The copies of the range join, grouped by grid cell of side `d`. */
   private[repro] def cells(points: DataFrame, d: Double): Cells =
-    group(copies(points, grid(d), reach = 1, probes = true, builds = true), _ < d)
+    group(copies(points, grid(d), reach = 1), _ < d)
 
   /** The copies of the exact-location join: a group-by on the location,
     * whose cell key is the coordinates' bit patterns (a key on the doubles
     * themselves would be normalized by Spark and re-shuffled downstream).
     */
   private[repro] def locations(points: DataFrame): Cells =
-    group(copies(points, (bits(col("x")), bits(col("y"))), reach = 0, probes = true, builds = true),
-          _ == 0.0)
+    group(copies(points, (bits(col("x")), bits(col("y"))), reach = 0), _ == 0.0)
 
   /** The join loop of one cell: `f` of each probe, in list order, with
-    * its build copies (and their distance) that pass `near`, in list order.
+    * the cell's copies (and their distance) that pass `near`, in list order.
     * A copy with the probe's id is not its neighbour. The distance is
     * Spark's `sqrt(pow(dx, 2) + pow(dy, 2))`, bit for bit.
     */
   private def scan[A](ps: Seq[Copy], near: Double => Boolean)
                      (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): Seq[A] =
     ps.filter(_.probe).flatMap { a =>
-      f(a, ps.iterator.filter(b => b.build && b.id != a.id)
+      f(a, ps.iterator.filter(_.id != a.id)
         .map(b => (b, math.sqrt(StrictMath.pow(a.x - b.x, 2) + StrictMath.pow(a.y - b.y, 2))))
         .filter { case (_, dist) => near(dist) })
     }
@@ -103,8 +91,7 @@ object RangeJoin {
   private val bits = udf((v: Double) => java.lang.Double.doubleToLongBits(v + 0.0))
 
   /** Each point's [[Copy]] `p` in each cell `cx, cy` within `reach` of its home cell. */
-  private def copies(points: DataFrame, home: (Column, Column), reach: Int,
-                     probes: Boolean, builds: Boolean): DataFrame = {
+  private def copies(points: DataFrame, home: (Column, Column), reach: Int): DataFrame = {
     val offsets = array((-reach to reach).map(lit): _*)
     points
       .select(col("id"), col("x"), col("y"), col("value"), home._1.as("hx"), home._2.as("hy"))
@@ -113,8 +100,7 @@ object RangeJoin {
       .select(
         (col("hx") + col("dx")).as("cx"), (col("hy") + col("dy")).as("cy"),
         struct(col("id"), col("x"), col("y"), col("value"),
-               (lit(probes) && col("dx") === 0 && col("dy") === 0).as("probe"),
-               lit(builds).as("build")).as("p"))
+               (col("dx") === 0 && col("dy") === 0).as("probe")).as("p"))
   }
 
   /** The join's one exchange: the copies hash-partitioned by cell, then

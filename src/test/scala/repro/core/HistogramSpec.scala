@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
-
 import repro.{Oracle, SparkSpec, TestPoints}
 
 class HistogramSpec extends SparkSpec {
@@ -16,21 +14,8 @@ class HistogramSpec extends SparkSpec {
     for (c <- Seq(SpatialRange(70, PowerWeight(2)), SpatialKnn(5, PowerWeight(2)))) {
       val dm = DistanceMatrix.build(pts, c).persist()
       Oracle.assertEquivalent(Histogram.of(dm), sql, "dm" -> dm)
-      // The pipeline's input adds only own-value rows without neighbour weight.
-      Oracle.assertEquivalent(Histogram.withOwn(dm, pts).where(col("nearW").isNotNull), sql, "dm" -> dm)
       dm.unpersist()
     }
-  }
-
-  test("withOwn adds one row per non-null cell for its own value") {
-    val pts = TestPoints.df(spark, Seq(
-      (1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "b"), (3L, 500.0, 0.0, null: String)))
-    val rows = Histogram.withOwn(DistanceMatrix.build(pts, SpatialRange(10)), pts).collect()
-      .map(r => (r.getAs[Long]("id"), Option(r.getAs[String]("value")),
-                 Option(r.getAs[java.lang.Double]("nearW")).map(_.doubleValue))).toSet
-    assert(rows == Set(
-      (1L, Some("a"), None), (1L, Some("b"), Some(0.81)),
-      (2L, Some("b"), None), (2L, Some("a"), Some(0.81))))
   }
 
   test("clean's candidate weights are DuckDB's sums over the DistanceMatrix (range n = 2, n = 0, exact)") {
@@ -40,7 +25,8 @@ class HistogramSpec extends SparkSpec {
       case p => p
     })
     // Every erroneous cell's candidates are its own value and its neighbours'
-    // values, each with its weight sum and the cell's total.
+    // values, each with its weight sum and the cell's total. Under kNN this
+    // includes the cells flagged only as a conflict's r2.
     val sql =
       """WITH h AS (SELECT CAST(r1 AS BIGINT) AS id, v2 AS value, SUM(CAST(w AS DOUBLE)) AS nearW
         |           FROM dm WHERE v2 IS NOT NULL GROUP BY 1, 2),
@@ -52,7 +38,8 @@ class HistogramSpec extends SparkSpec {
         |SELECT k.id AS id, k.value AS value, coalesce(h.nearW, 0) AS nearW, coalesce(t.totalW, 0) AS totalW
         |FROM k LEFT JOIN h ON k.id = h.id AND k.value = h.value LEFT JOIN t ON k.id = t.id
         |""".stripMargin
-    for (c <- Seq(SpatialRange(70, PowerWeight(2)), SpatialRange(70, PowerWeight(0)), ExactLocation)) {
+    for (c <- Seq(SpatialRange(70, PowerWeight(2)), SpatialRange(70, PowerWeight(0)), ExactLocation,
+                  SpatialKnn(5, PowerWeight(2)))) {
       val r = Sparcle.clean(pts, SparcleParams(c, CandGenParams(minProb = 0.0)))
       assert(r.candidates.count() > 0, s"$c")
       Oracle.assertEquivalent(r.candidates.select("id", "value", "nearW", "totalW"), sql,

@@ -5,8 +5,12 @@ import java.util.concurrent.atomic.AtomicLong
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.Attribute
+import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.joins.BaseJoinExec
+import org.apache.spark.sql.execution.window.WindowExec
 import org.scalatest.concurrent.Eventually
 import org.scalatest.time.{Seconds, Span}
 
@@ -43,6 +47,20 @@ class PlanShapeSpec extends SparkSpec with Eventually {
   test("an ExactLocation clean and HoloCleanLike shuffle at most twice") {
     assert(shuffles(Sparcle.clean(pts, SparcleParams(ExactLocation)).repairs) <= 2)
     assert(shuffles(HoloCleanLike.clean(pts).repairs) <= 2)
+  }
+
+  test("a SpatialKnn clean has no window or join and shuffles only by grid cell") {
+    val repairs = Sparcle.clean(pts, SparcleParams(SpatialKnn(5))).repairs
+    repairs.collect()
+    val plan = repairs.queryExecution.executedPlan
+    assert(Plans.collect(plan) { case w: WindowExec => w }.isEmpty)
+    assert(Plans.collect(plan) { case j: BaseJoinExec => j }.isEmpty)
+    val shuffles = Plans.collect(plan) { case s: ShuffleExchangeExec => s.outputPartitioning }
+    assert(shuffles.nonEmpty)
+    shuffles.foreach {
+      case HashPartitioning(Seq(cx: Attribute, cy: Attribute), _) => assert((cx.name, cy.name) == ("cx", "cy"))
+      case p => fail(s"a shuffle not keyed by grid cell: $p")
+    }
   }
 
   test("ValueStats.of runs one job and writes no shuffle bytes") {

@@ -48,19 +48,6 @@ class SparclePipelineSpec extends SparkSpec {
     assert(result.repairs.join(fromCands, Seq("id", "newValue"), "left_anti").count() == 0)
   }
 
-  test("applyRepairs substitutes repaired cells and leaves the rest intact") {
-    val cleaned = Sparcle.applyRepairs(smallDataset.points("region"), result.repairs)
-    assert(cleaned.count() == 800)
-    val changed = cleaned.join(result.repairs, Seq("id"))
-      .where($"value" =!= $"newValue").count()
-    assert(changed == 0)
-    val untouched = cleaned
-      .join(result.repairs.select("id"), Seq("id"), "left_anti")
-      .join(smallDataset.points("region").withColumnRenamed("value", "orig"), Seq("id"))
-      .where(coalesce($"value", lit("∅")) =!= coalesce($"orig", lit("∅")))
-    assert(untouched.count() == 0)
-  }
-
   test("all detected erroneous cells are genuine or boundary-adjacent") {
     // Detection over-approximates (both sides of a conflict are flagged);
     // it must at least cover every true error that has any in-range neighbor.

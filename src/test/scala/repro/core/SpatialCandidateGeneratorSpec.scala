@@ -129,27 +129,6 @@ class SpatialCandidateGeneratorSpec extends SparkSpec {
     dm.unpersist()
   }
 
-  test("extra non-spatial attributes multiply in their co-occurrence factor") {
-    // Record 1 (value "a", attr t1) has neighbors 2 and 3 (both "b", t1);
-    // record 4 ("b", t2) is far away. Expected extra factors for cell 1:
-    // candidate "a": Count((a,t1),D)/Count(a,D) = 1/1; candidate "b":
-    // Count((b,t1),D)/Count(b,D) = 2/3.
-    val pts = Seq(
-      (1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "b"), (3L, 2.0, 0.0, "b"), (4L, 50.0, 50.0, "b"))
-    val df = TestPoints.df(spark, pts)
-    val dm = DistanceMatrix.build(df, SpatialRange(10))
-    val err = SpatialErrorDetector.erroneousCells(df, dm)
-    val attr = Seq((1L, "t1"), (2L, "t1"), (3L, "t1"), (4L, "t2")).toDF("id", "a")
-    val base = SpatialCandidateGenerator.generate(df, dm, err, CandGenParams(minProb = 0.0))
-    val withA = SpatialCandidateGenerator.generate(df, dm, err, CandGenParams(minProb = 0.0),
-      extraAttrs = Seq(attr))
-    def prob(res: CandidateResult, v: String): Double =
-      res.candidates.where($"id" === 1L && $"value" === v)
-        .select("prob").as[Double].head()
-    assert(math.abs(prob(withA, "a") / prob(base, "a") - 1.0) < 1e-9)
-    assert(math.abs(prob(withA, "b") / prob(base, "b") - 2.0 / 3.0) < 1e-9)
-  }
-
   test("empty erroneous set yields empty outputs") {
     val pts = Seq((1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "a"))
     val df = TestPoints.df(spark, pts)

@@ -19,7 +19,7 @@ class SpatialErrorDetectorSpec extends SparkSpec {
     val pts = TestPoints.df(spark, Seq((1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "a")))
     val dm = DistanceMatrix.build(pts, SpatialRange(10))
     assert(ids(SpatialErrorDetector.erroneousCells(pts, dm)).isEmpty)
-    assert(ids(SpatialErrorDetector.cleanCells(pts, SpatialErrorDetector.erroneousCells(pts, dm))) == Set(1L, 2L))
+    assert(ids(pts) -- ids(SpatialErrorDetector.erroneousCells(pts, dm)) == Set(1L, 2L))
   }
 
   test("null cells are always erroneous, even without neighbors") {
@@ -40,7 +40,7 @@ class SpatialErrorDetectorSpec extends SparkSpec {
     val dm = PaperExample.distanceMatrix(spark)
     val err = SpatialErrorDetector.erroneousCells(pts, dm)
     assert(ids(err) == Set(1L, 2L, 3L, 4L, 5L, 6L))
-    assert(ids(SpatialErrorDetector.cleanCells(pts, err)) == Set(7L))
+    assert(ids(pts) -- ids(err) == Set(7L))
   }
 
   test("detector ids are distinct even with many conflicts") {
@@ -57,9 +57,9 @@ class SpatialErrorDetectorSpec extends SparkSpec {
     val pts = TestPoints.df(spark, raw)
     val dm = DistanceMatrix.build(pts, SpatialRange(60))
     val err = SpatialErrorDetector.erroneousCells(pts, dm)
-    val clean = SpatialErrorDetector.cleanCells(pts, err)
-    assert(err.count() + clean.count() == 200)
-    assert(ids(err).intersect(ids(clean)).isEmpty)
+    val clean = ids(pts) -- ids(err)
+    assert(err.count() + clean.size == 200)
+    assert(ids(err).subsetOf(ids(pts)))
   }
 
   test("detected set matches a DuckDB formulation of Algorithm 1") {

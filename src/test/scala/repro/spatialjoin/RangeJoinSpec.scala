@@ -96,16 +96,6 @@ class RangeJoinSpec extends SparkSpec {
     Oracle.assertEquivalent(sparkDf, sql, "pts" -> TestPoints.df(spark, pts))
   }
 
-  test("asymmetric range join restricts probes to the left frame") {
-    val pts = TestPoints.random(n = 100, extent = 400, nValues = 3, seed = 5)
-    val probeIds = Set(0L, 5L, 17L, 44L, 91L)
-    val probe = TestPoints.df(spark, pts.filter(p => probeIds.contains(p._1)))
-    val got = collectPairs(RangeJoin.pairsAsym(probe, TestPoints.df(spark, pts), d = 150))
-    val expected = bruteSet(pts, 150).filter(p => probeIds.contains(p._1))
-    assert(got == expected)
-    assert(got.map(_._1).subsetOf(probeIds))
-  }
-
   test("exactPairs returns only identical coordinates") {
     val pts = Seq(
       (1L, 1.0, 1.0, "a"), (2L, 1.0, 1.0, "b"), (3L, 1.0, 1.0000001, "c"), (4L, 2.0, 2.0, "d"))
