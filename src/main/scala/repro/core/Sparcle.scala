@@ -25,22 +25,21 @@ final case class SparcleParams(
   * frame is lazy and nothing is persisted: collecting `repairs` runs the
   * spatial join and, inside it, one loop per grid cell.
   *
-  * @param dm         the DistanceMatrix (a debug and oracle view; a range or
-  *                   exact-location run never builds it, a kNN run reads it
-  *                   only for `erroneous`)
   * @param erroneous  cell ids flagged by the spatial error detector
   * @param candidates post-cutoff candidate lists with all formulator scores
   * @param labels     Phase-3 auto-labels
   * @param repairs    cells whose final value differs from the input:
   *                   `id, oldValue (nullable), newValue`
   */
-final case class SparcleResult(
-    dm: DataFrame,
-    erroneous: DataFrame,
-    candidates: DataFrame,
-    labels: DataFrame,
-    repairs: DataFrame,
-)
+final class SparcleResult(dmOf: => DataFrame, val erroneous: DataFrame, val candidates: DataFrame,
+                          val labels: DataFrame, val repairs: DataFrame) {
+
+  /** The DistanceMatrix: a debug and oracle view, built on first read. A
+    * range or exact-location run never reads it; a kNN run reads it for
+    * `erroneous`.
+    */
+  lazy val dm: DataFrame = dmOf
+}
 
 /** One cell's outcome: detector verdict, Phase-3 candidates in rank order,
   * label (or null) and the corrector's value (null without candidates).
@@ -66,11 +65,15 @@ final case class Cell(id: Long, v1: String, detected: Boolean, candidates: Seq[C
   *
   * Execution: every stage after the join reads only one cell's neighbour
   * histogram, so [[decide]] runs them all per cell, inside the join's loop
-  * per grid cell: behind the range or exact-location join's one shuffle, or
-  * in the round of the kNN join that finalizes the cell. `erroneous`,
-  * `candidates`, `labels` and `repairs` are projections of the per-cell
-  * frame, one [[Cell]] per row. The DistanceMatrix-input layer functions
-  * (`generate`, `allFormats`, [[repairsFrom]]) share these functions.
+  * per grid cell: over the sorted runs of cell copies behind the range or
+  * exact-location join's one exchange (one partition per core), or in the
+  * round of the kNN join that finalizes the cell. Each run lists its copies
+  * by id, so every histogram sum is a function of the input alone, whatever
+  * its partitioning. `erroneous`, `candidates`, `labels` and `repairs` are
+  * projections of the per-cell frame, one [[Cell]] per row; the
+  * DistanceMatrix is built only when `dm` is read. The DistanceMatrix-input
+  * layer functions (`generate`, `allFormats`, [[repairsFrom]]) share these
+  * functions.
   */
 object Sparcle {
 
@@ -93,17 +96,20 @@ object Sparcle {
     val inJoin = (weight: Double => Double) => (a: Copy, neighbours: Iterator[(Copy, Double)]) =>
       Some(decide(a.id, new Histogram(a.value, neighbours.map { case (b, dist) => (b.value, weight(dist)) }),
                   stats, candGen, margin))
-    val (dm, cells) = constraint match {
+    val (buildDm, cells) = constraint match {
       case SpatialRange(d, w) =>
-        (DistanceMatrix.build(points, constraint), RangeJoin.reduce(RangeJoin.cells(points, d))(inJoin(w.weight(_, d))))
+        (() => DistanceMatrix.build(points, constraint),
+         RangeJoin.reduce(RangeJoin.cells(points, d))(inJoin(w.weight(_, d))))
       case ExactLocation =>
-        (DistanceMatrix.build(points, constraint), RangeJoin.reduce(RangeJoin.locations(points))(inJoin(_ => 1.0)))
+        (() => DistanceMatrix.build(points, constraint),
+         RangeJoin.reduce(RangeJoin.locations(points))(inJoin(_ => 1.0)))
       case SpatialKnn(k, w) =>
         // One search of the radius rounds serves the DistanceMatrix and the cells.
         val rounds = KnnJoin.rounds(points, k)
-        (DistanceMatrix.knn(rounds.pairs, w),
+        (() => DistanceMatrix.knn(rounds.pairs, w),
          rounds.reduce((a, nbs, dk) => inJoin(dist => if (dk == 0) 1.0 else w.weight(dist, dk))(a, nbs.iterator)))
     }
+    lazy val dm = buildDm()
     // The kNN relation is asymmetric: a conflict also flags its r2 cell.
     val flagged = constraint match {
       case _: SpatialKnn => cells.join(SpatialErrorDetector.erroneousCells(points, dm), Seq("id"), "left_semi")
@@ -115,8 +121,8 @@ object Sparcle {
       .select(col("id"), col("v1").as("oldValue"),
               coalesce(col("newValue"), lit(fallback.orNull)).as("newValue"))
       .where(col("newValue").isNotNull && changed)
-    SparcleResult(dm, flagged.select("id"), SpatialCandidateGenerator.candidatesOf(flagged),
-                  SpatialCandidateGenerator.labelsOf(flagged), repairs)
+    new SparcleResult(dm, flagged.select("id"), SpatialCandidateGenerator.candidatesOf(flagged),
+                      SpatialCandidateGenerator.labelsOf(flagged), repairs)
   }
 
   /** The per-cell kernel (§3.3–§5): for cell `id` with histogram `hist`,

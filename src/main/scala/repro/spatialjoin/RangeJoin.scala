@@ -2,7 +2,7 @@ package repro.spatialjoin
 
 import scala.reflect.runtime.universe.TypeTag
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Encoders, Row}
 import org.apache.spark.sql.functions._
 
 /** A point's copy in a grid cell; the copy in its home cell is its `probe`. */
@@ -11,7 +11,9 @@ final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Bool
 /** A pair of the join: `r2` lies within the distance of probe `r1`. */
 final case class Pair(r1: Long, r2: Long, v1: String, v2: String, dist: Double)
 
-/** Copies grouped by cell (`frame`: `cx, cy, ps: array<Copy>`) and the join's distance test. */
+/** Copies in runs of equal cell (`frame`: `cx, cy` and the [[Copy]] fields,
+  * sorted by `cx, cy, id` within each partition) and the join's distance test.
+  */
 final case class Cells(frame: DataFrame, near: Double => Boolean)
 
 /** Grid-binned spatial distance self-join.
@@ -21,12 +23,14 @@ final case class Cells(frame: DataFrame, near: Double => Boolean)
   * other, computed partition-locally in the manner of PBSM (Patel & DeWitt,
   * SIGMOD 1996). Space is cut into grid cells of side `d`. Every point is
   * copied into the 3×3 cells around its home cell, the copy in the home cell
-  * being its *probe*; one exchange groups the copies by cell, and one loop
-  * per cell ([[scan]]) pairs its probes with all its copies within exact
-  * Euclidean distance `d`. A pair within `d` lies in neighbouring cells, so
-  * exactly one copy of the second point meets the probe of the first. The
-  * public joins emit the loop's pairs as rows; `Sparcle.clean` and each
-  * radius round of [[KnnJoin]] reduce them inside the loop instead.
+  * being its *probe*. One exchange, one partition per core, hash-partitions
+  * the copies by cell; a sort within each partition by cell and id lays
+  * every cell's copies out as one run, and one loop per run ([[scan]]) pairs
+  * its probes with all its copies within exact Euclidean distance `d`. A
+  * pair within `d` lies in neighbouring cells, so exactly one copy of the
+  * second point meets the probe of the first. The public joins emit the
+  * loop's pairs as rows; `Sparcle.clean` and each radius round of
+  * [[KnnJoin]] reduce them inside the loop instead.
   *
   * Input contract ("points" frame): columns `id: long`, `x: double`,
   * `y: double` (planar meters), `value: string` (nullable), unique ids.
@@ -61,8 +65,8 @@ object RangeJoin {
   private[repro] def locations(points: DataFrame): Cells =
     group(copies(points, (bits(col("x")), bits(col("y"))), reach = 0), _ == 0.0)
 
-  /** The join loop of one cell: `f` of each probe, in list order, with
-    * the cell's copies (and their distance) that pass `near`, in list order.
+  /** The join loop of one cell: `f` of each probe, in id order, with
+    * the cell's copies (and their distance) that pass `near`, in id order.
     * A copy with the probe's id is not its neighbour. The distance is
     * Spark's `sqrt(pow(dx, 2) + pow(dy, 2))`, bit for bit.
     */
@@ -78,7 +82,22 @@ object RangeJoin {
   private[repro] def reduce[A <: Product : TypeTag](cells: Cells)
                                                    (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): DataFrame = {
     val near = cells.near
-    cells.frame.select(inline(udf((ps: Seq[Copy]) => scan(ps, near)(f)).apply(col("ps"))))
+    cells.frame.mapPartitions(rows => runs(rows).flatMap(scan(_, near)(f)))(Encoders.product[A]).toDF()
+  }
+
+  /** The runs of equal cell key in a partition of sorted copies. */
+  private def runs(rows: Iterator[Row]): Iterator[Seq[Copy]] = new Iterator[Seq[Copy]] {
+    private val it = rows.buffered
+    def hasNext: Boolean = it.hasNext
+    def next(): Seq[Copy] = {
+      val (cx, cy) = (it.head.getLong(0), it.head.getLong(1))
+      val run = Vector.newBuilder[Copy]
+      while (it.hasNext && it.head.getLong(0) == cx && it.head.getLong(1) == cy) {
+        val r = it.next()
+        run += Copy(r.getLong(2), r.getDouble(3), r.getDouble(4), r.getString(5), r.getBoolean(6))
+      }
+      run.result()
+    }
   }
 
   /** Grid cell of side `d`. */
@@ -90,7 +109,7 @@ object RangeJoin {
   /** IEEE bits of a coordinate, with −0.0 folded into 0.0. */
   private val bits = udf((v: Double) => java.lang.Double.doubleToLongBits(v + 0.0))
 
-  /** Each point's [[Copy]] `p` in each cell `cx, cy` within `reach` of its home cell. */
+  /** Each point's [[Copy]] in each cell `cx, cy` within `reach` of its home cell. */
   private def copies(points: DataFrame, home: (Column, Column), reach: Int): DataFrame = {
     val offsets = array((-reach to reach).map(lit): _*)
     points
@@ -99,15 +118,18 @@ object RangeJoin {
       .withColumn("dy", explode(offsets))
       .select(
         (col("hx") + col("dx")).as("cx"), (col("hy") + col("dy")).as("cy"),
-        struct(col("id"), col("x"), col("y"), col("value"),
-               (col("dx") === 0 && col("dy") === 0).as("probe")).as("p"))
+        col("id"), col("x"), col("y"), col("value"), (col("dx") === 0 && col("dy") === 0).as("probe"))
   }
 
-  /** The join's one exchange: the copies hash-partitioned by cell, then
-    * listed per cell after it (no partial lists on the map side).
+  /** The join's one exchange: the copies hash-partitioned by cell into one
+    * partition per core of the job (`defaultParallelism`), then sorted by
+    * cell and id inside each partition, so every cell's copies form one run
+    * in an order fixed by the input alone. The sort spills to disk, and
+    * nothing is aggregated.
     */
   private def group(copies: DataFrame, near: Double => Boolean): Cells =
-    Cells(copies.repartition(col("cx"), col("cy")).groupBy("cx", "cy").agg(collect_list("p").as("ps")),
+    Cells(copies.repartition(copies.sparkSession.sparkContext.defaultParallelism, col("cx"), col("cy"))
+            .sortWithinPartitions("cx", "cy", "id"),
           near)
 
   /** The pair emitter: every pair [[scan]] finds, as a row. */

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestPoints}
@@ -110,6 +111,22 @@ class DistanceMatrixSpec extends SparkSpec {
         assert(java.lang.Double.doubleToLongBits(r.getDouble(1)) == java.lang.Double.doubleToLongBits(scalar),
                s"n=$n dist=${r.getDouble(0)}: column ${r.getDouble(1)} vs scalar $scalar")
       }
+    }
+  }
+
+  test("a clean's dm, built on first read, is DistanceMatrix.build's relation row for row") {
+    // A third of the points share a lattice location, so ExactLocation has pairs.
+    val raw = TestPoints.random(150, 500, 3, seed = 27, nullEvery = 5).map { case p @ (id, x, y, v) =>
+      if (id % 3 == 0) (id, math.floor(x / 100) * 100, math.floor(y / 100) * 100, v) else p }
+    val pts = TestPoints.df(spark, raw)
+    def rows(dm: DataFrame) =
+      dm.collect().map(_.toSeq).sortBy(r => (r(0).asInstanceOf[Long], r(1).asInstanceOf[Long])).toSeq
+    for (c <- Seq(SpatialRange(80, PowerWeight(2)), ExactLocation, SpatialKnn(4, PowerWeight(2)))) {
+      val dm = Sparcle.clean(pts, SparcleParams(c)).dm
+      assert(dm.columns.toSeq == Seq("r1", "r2", "v1", "v2", "dist", "w"), c.toString)
+      val expected = rows(DistanceMatrix.build(pts, c))
+      assert(expected.nonEmpty, c.toString)
+      assert(rows(dm) == expected, c.toString)
     }
   }
 }

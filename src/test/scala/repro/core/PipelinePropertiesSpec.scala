@@ -6,8 +6,8 @@ import repro.{SparkSpec, TestPoints}
 import repro.cleaning.HoloCleanLike
 
 /** Properties of `clean` that must hold whatever the physical layout of the
-  * input: the join groups records by cell, so list and summation orders
-  * inside a cell follow the input's partitioning.
+  * input: the join lists each cell's copies by id, so a cell's neighbour
+  * order, and with it every summation order, follows the input alone.
   */
 class PipelinePropertiesSpec extends SparkSpec {
 
@@ -20,14 +20,18 @@ class PipelinePropertiesSpec extends SparkSpec {
       if (id % 3 == 0) (id, math.floor(x / 300) * 300, math.floor(y / 300) * 300, v) else p
     }
 
+  /** One input in four physical layouts: as given, one partition, seven
+    * partitions, and rows shuffled.
+    */
+  private def layouts(raw: Seq[TestPoints.Pt], seed: Long): Seq[DataFrame] = Seq(
+    TestPoints.df(spark, raw),
+    TestPoints.df(spark, raw).repartition(1),
+    TestPoints.df(spark, raw).repartition(7),
+    TestPoints.df(spark, new scala.util.Random(seed).shuffle(raw)))
+
   test("repairs do not depend on input partitioning or row order") {
     for (seed <- Seq(101L, 102L)) {
-      val raw = sample(seed)
-      val layouts = Seq(
-        TestPoints.df(spark, raw),
-        TestPoints.df(spark, raw).repartition(1),
-        TestPoints.df(spark, raw).repartition(7),
-        TestPoints.df(spark, new scala.util.Random(seed).shuffle(raw)))
+      val layouts = this.layouts(sample(seed), seed)
       for (c <- Seq(SpatialRange(200, PowerWeight(2)), SpatialRange(120, PowerWeight(0)), ExactLocation)) {
         val all = layouts.map(pts => repairs(Sparcle.clean(pts, SparcleParams(c)).repairs))
         assert(all.head.nonEmpty, s"$c must repair something")
@@ -36,6 +40,26 @@ class PipelinePropertiesSpec extends SparkSpec {
       val holo = layouts.map(pts => repairs(HoloCleanLike.clean(pts).repairs))
       holo.tail.foreach(r => assert(r == holo.head, s"HoloCleanLike, seed $seed"))
     }
+  }
+
+  test("candidate scores are bit-identical whatever the input layout") {
+    def bits(df: DataFrame): Seq[(Long, String, Seq[Long])] =
+      df.select("id", "value", "nearW", "totalW", "normProb", "viol").collect()
+        .map(r => (r.getLong(0), r.getString(1), (2 to 5).map(i => java.lang.Double.doubleToLongBits(r.getDouble(i)))))
+        .sortBy(c => (c._1, c._2)).toSeq
+    val cases: Seq[(String, DataFrame => DataFrame)] = Seq(
+      ("SpatialRange n=2", Sparcle.clean(_, SparcleParams(SpatialRange(200, PowerWeight(2)))).candidates),
+      ("SpatialRange n=0", Sparcle.clean(_, SparcleParams(SpatialRange(120, PowerWeight(0)))).candidates),
+      ("ExactLocation", Sparcle.clean(_, SparcleParams(ExactLocation)).candidates),
+      ("HoloCleanLike", HoloCleanLike.clean(_).candidates))
+    // Per case, the candidates whose scores differ in some layout from the first.
+    val differing = for (seed <- Seq(101L, 102L); (name, candidates) <- cases) yield {
+      val all = layouts(sample(seed), seed).map(pts => bits(candidates(pts)))
+      assert(all.head.nonEmpty, s"$name must keep candidates")
+      assert(all.forall(_.map(c => (c._1, c._2)) == all.head.map(c => (c._1, c._2))), s"$name, seed $seed")
+      s"$name, seed $seed" -> all.tail.flatMap(_.diff(all.head)).map(c => (c._1, c._2)).distinct.size
+    }
+    assert(differing.forall(_._2 == 0), differing.map { case (c, n) => s"$c: $n differ" }.mkString("; "))
   }
 
   test("repairs touch only erroneous cells") {

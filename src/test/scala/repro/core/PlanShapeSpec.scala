@@ -8,6 +8,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.Attribute
 import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.execution.window.WindowExec
@@ -47,6 +48,25 @@ class PlanShapeSpec extends SparkSpec with Eventually {
   test("an ExactLocation clean and HoloCleanLike shuffle at most twice") {
     assert(shuffles(Sparcle.clean(pts, SparcleParams(ExactLocation)).repairs) <= 2)
     assert(shuffles(HoloCleanLike.clean(pts).repairs) <= 2)
+  }
+
+  test("a range or exact clean's one exchange has one partition per core, keyed by cell, and no aggregate") {
+    val cores = spark.sparkContext.defaultParallelism
+    val results = Seq(
+      "SpatialRange" -> Sparcle.clean(pts, SparcleParams(SpatialRange(300, PowerWeight(2)))),
+      "ExactLocation" -> Sparcle.clean(pts, SparcleParams(ExactLocation)),
+      "HoloCleanLike" -> HoloCleanLike.clean(pts))
+    for ((name, r) <- results) {
+      r.repairs.collect()
+      val plan = r.repairs.queryExecution.executedPlan
+      val shuffles = Plans.collect(plan) { case s: ShuffleExchangeExec => s.outputPartitioning }
+      shuffles match {
+        case Seq(HashPartitioning(Seq(cx: Attribute, cy: Attribute), n)) =>
+          assert((cx.name, cy.name, n) == ("cx", "cy", cores), name)
+        case other => fail(s"$name: expected one exchange by grid cell, got $other")
+      }
+      assert(Plans.collect(plan) { case a: BaseAggregateExec => a }.isEmpty, s"$name aggregates")
+    }
   }
 
   test("a SpatialKnn clean has no window or join and shuffles only by grid cell") {
