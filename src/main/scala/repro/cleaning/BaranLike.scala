@@ -1,10 +1,11 @@
 package repro.cleaning
 
+import scala.math.Ordering.Double.TotalOrdering
+
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-import repro.spatialjoin.RangeJoin
+import repro.core.{DistanceMatrix, ExactLocation, Histogram}
 
 /** Baran aborts when its in-memory pairwise co-occurrence model exceeds the
   * configured budget — the scaled stand-in for the paper's "cannot finish due
@@ -54,12 +55,13 @@ final case class BaranParams(
   *     and abort when the entry count exceeds the scaled memory/time budgets,
   *     reproducing the paper's failures on the two larger datasets.
   *  3. **Correction** — (a) exact co-located majority vote where duplicates
-  *     exist (the lat/lon co-occurrence models); (b) otherwise a *value
-  *     model* transferred from `nSamples` user-labeled corrections (Baran's
-  *     human-in-the-loop loop): predict the modal corrected value, but only
-  *     when it dominates the sample beyond `confThreshold`. This is why
-  *     Baran scores well exactly when one value dominates the attribute
-  *     (Austin's `city` → "Austin") and collapses on many-valued attributes.
+  *     exist (the lat/lon co-occurrence models), the top of the record's
+  *     `ExactLocation` histogram; (b) otherwise a *value model* transferred
+  *     from `nSamples` user-labeled corrections (Baran's human-in-the-loop
+  *     loop): predict the modal corrected value, but only when it dominates
+  *     the sample beyond `confThreshold`. This is why Baran scores well
+  *     exactly when one value dominates the attribute (Austin's `city` →
+  *     "Austin") and collapses on many-valued attributes.
   */
 object BaranLike {
 
@@ -104,16 +106,12 @@ object BaranLike {
         col("value").isNull || col("truthValue").isNull || col("value") =!= col("truthValue"))
       .where((col("isError") && u < params.pDetect) || (!col("isError") && u < params.pFalseAlarm))
 
-    // ---- Correction model 1: exact co-located majority vote.
-    val exact = RangeJoin.exactPairs(points)
-      .where(col("v2").isNotNull)
-      .groupBy(col("r1").as("id"), col("v2").as("vote"))
-      .agg(count(lit(1)).as("votes"))
-    val bestVote = exact
-      .withColumn("rk", row_number().over(
-        Window.partitionBy("id").orderBy(col("votes").desc, col("vote").asc)))
-      .where(col("rk") === 1)
-      .select(col("id"), col("vote").as("coLocated"))
+    // ---- Correction model 1: exact co-located majority vote, the top of
+    // each record's exact-location histogram (votes desc, value asc).
+    val bestVote = DistanceMatrix.neighbours(points, ExactLocation).reduce { (a, nbs) =>
+      new Histogram(null, nbs.map(n => (n.copy.value, n.w))).entries
+        .minByOption { case (v, votes) => (-votes, v) }.map { case (v, _) => (a.id, v) }
+    }.toDF("id", "coLocated")
 
     // ---- Correction model 2: value model transferred from sampled labels.
     val sampled = flagged.where(col("isError"))

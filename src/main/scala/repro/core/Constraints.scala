@@ -1,15 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** Distance-weighting function W of the paper's spatial denial constraints:
   * an arbitrary decreasing map from distance ∈ [0, d) to weight ∈ (0, 1].
   */
 sealed trait WeightFn extends Serializable {
-  /** Column form, for use inside the DistanceMatrix computation. */
-  def expr(dist: Column, d: Column): Column
-  /** Scalar form, for the join's per-cell loop; equal to [[expr]] bit for bit. */
+  /** W of a neighbour at distance `dist`, for the constraint's distance `d`. */
   def weight(dist: Double, d: Double): Double
 }
 
@@ -20,20 +15,16 @@ sealed trait WeightFn extends Serializable {
 final case class PowerWeight(n: Double) extends WeightFn {
   require(n >= 0, s"exponent must be non-negative, got $n")
 
-  override def expr(dist: Column, d: Column): Column =
-    pow(greatest(lit(0.0), lit(1.0) - dist / d), lit(n))
-
   override def weight(dist: Double, d: Double): Double =
-    StrictMath.pow(math.max(0.0, 1.0 - dist / d), n) // Spark's POWER is StrictMath.pow
+    StrictMath.pow(math.max(0.0, 1.0 - dist / d), n)
 }
 
 /** A spatial denial constraint ¬(SpatialPredicate(r1, r2) ∧ r1.A ≠ r2.A)
   * (§3.1). The dependent attribute A is supplied separately (per-pipeline);
-  * the constraint captures the spatial predicate and its weighting.
+  * the constraint captures the spatial predicate and its weighting, which
+  * `DistanceMatrix.neighbours` applies.
   */
-sealed trait SpatialConstraint extends Serializable {
-  def weight: WeightFn
-}
+sealed trait SpatialConstraint extends Serializable
 
 /** SpatialRange(..., d, F, W): records within Euclidean distance `d` (meters,
   * strict) are expected to share the dependent attribute, weighted by W.
@@ -59,6 +50,4 @@ final case class SpatialKnn(k: Int, weight: WeightFn = PowerWeight(2))
   * (HoloClean etc.) evaluate when they equi-join on (Latitude, Longitude);
   * it drives the `HoloCleanLike` baseline and the paper's "d = 0" endpoint.
   */
-case object ExactLocation extends SpatialConstraint {
-  override val weight: WeightFn = PowerWeight(0)
-}
+case object ExactLocation extends SpatialConstraint

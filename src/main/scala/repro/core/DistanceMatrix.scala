@@ -1,40 +1,67 @@
 package repro.core
 
+import scala.reflect.runtime.universe.TypeTag
+
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
-import repro.spatialjoin.{KnnJoin, RangeJoin}
+import repro.spatialjoin.{Cells, Copy, KnnJoin, RangeJoin}
 
-/** The materialized spatial self-join of §3.2.
-  *
-  * Schema: `(r1: long, r2: long, v1: string, v2: string, dist: double,
-  * w: double)` — r2 satisfies the constraint's spatial predicate w.r.t. r1,
-  * v1/v2 are their (possibly dirty, possibly null) values of the dependent
-  * attribute, `dist` is F(r1, r2) and `w` the distance weight. All later
-  * Sparcle modules (detector, candidate generator, formulators) read only
-  * each r1's rows of this one table, which is what keeps Sparcle's overhead
-  * over its host under ~30% in the paper.
+/** A record's neighbour under a constraint: its `copy`, distance F and weight W. */
+final case class Neighbour(copy: Copy, dist: Double, w: Double)
+
+/** A constraint's neighbour relation, not materialized. */
+trait Neighbours {
+
+  /** The rows `f` gives for every record with its neighbours, inside the join's loop. */
+  def reduce[A <: Product : TypeTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): DataFrame
+}
+
+/** The spatial self-join of §3.2: each r1 with every r2 that satisfies the
+  * constraint's spatial predicate w.r.t. it, the distance F and the weight
+  * W. All later Sparcle modules read only each r1's rows of this one
+  * relation, which is what keeps Sparcle's overhead over its host under
+  * ~30% in the paper; so they reduce them inside the join's loop
+  * ([[neighbours]]), and [[build]] materializes them as a debug and oracle view.
   */
 object DistanceMatrix {
 
-  /** Build the DistanceMatrix for `points` (contract: id, x, y, value)
-    * under `constraint`.
+  /** The DistanceMatrix for `points` (contract: id, x, y, value) under
+    * `constraint`: `r1, r2, v1, v2, dist, w`, where v1/v2 are the (possibly
+    * dirty, possibly null) values of the dependent attribute.
     */
-  def build(points: DataFrame, constraint: SpatialConstraint): DataFrame =
-    constraint match {
-      case SpatialRange(d, w) =>
-        RangeJoin.pairs(points, d).withColumn("w", w.expr(col("dist"), lit(d)))
-      case ExactLocation =>
-        RangeJoin.exactPairs(points).withColumn("w", lit(1.0))
-      case SpatialKnn(k, w) => knn(KnnJoin.pairs(points, k), w)
-    }
+  def build(points: DataFrame, constraint: SpatialConstraint): DataFrame = of(neighbours(points, constraint))
 
-  /** The DistanceMatrix of kNN pairs (`KnnJoin.pairs`' columns), weighted by
-    * `w` with the kth neighbour's distance `dk` as its "d".
+  /** The rows of `neighbours`. */
+  private[repro] def of(neighbours: Neighbours): DataFrame =
+    neighbours.reduce((a, nbs) => nbs.map(n => (a.id, n.copy.id, a.value, n.copy.value, n.dist, n.w)))
+      .toDF("r1", "r2", "v1", "v2", "dist", "w")
+
+  /** The neighbour relation of `points` under `constraint`: the range join
+    * weighed W(dist, d), the exact-location join weighed 1, or the kNN
+    * radius rounds weighed W(dist, dk). A kNN relation searches here (the
+    * extent job and open-id collects), once for all its reducers.
     */
-  private[repro] def knn(pairs: DataFrame, w: WeightFn): DataFrame =
-    // dk = 0 happens only when all k neighbors sit at the exact same
-    // location; they are perfect co-occurrences, so weight 1.
-    pairs.withColumn("w", when(col("dk") === 0.0, lit(1.0)).otherwise(w.expr(col("dist"), col("dk"))))
-      .select("r1", "r2", "v1", "v2", "dist", "w")
+  def neighbours(points: DataFrame, constraint: SpatialConstraint): Neighbours = constraint match {
+    case SpatialRange(d, w) => weighed(RangeJoin.cells(points, d))(w.weight(_, d))
+    case ExactLocation      => weighed(RangeJoin.locations(points))(_ => 1.0)
+    case SpatialKnn(k, w) =>
+      val rounds = KnnJoin.rounds(points, k)
+      new Neighbours {
+        def reduce[A <: Product : TypeTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): DataFrame = {
+          val weight = w // the closure must not capture this wrapper
+          // dk = 0 happens only when all k neighbours sit at the exact same
+          // location; they are perfect co-occurrences, so weight 1.
+          rounds.reduce((a, nbs, dk) => f(a, nbs.iterator.map { case (b, dist) =>
+            Neighbour(b, dist, if (dk == 0) 1.0 else weight.weight(dist, dk)) }))
+        }
+      }
+  }
+
+  /** The neighbours of the join over `cells`, each weighed by `weigh(dist)`. */
+  private def weighed(cells: Cells)(weigh: Double => Double): Neighbours = new Neighbours {
+    def reduce[A <: Product : TypeTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): DataFrame = {
+      val w = weigh // the closure must not capture this wrapper
+      RangeJoin.reduce(cells)((a, bs) => f(a, bs.map { case (b, dist) => Neighbour(b, dist, w(dist)) }))
+    }
+  }
 }

@@ -31,12 +31,10 @@ final class Histogram(val own: String, neighbours: IterableOnce[(String, Double)
 object Histogram {
 
   /** `SELECT r1 AS id, v1, v2 AS value, SUM(w) AS nearW FROM dm
-    * WHERE v2 IS NOT NULL GROUP BY 1, 2, 3` over a DistanceMatrix `dm`, where
-    * a record's pair with itself (`r1 = r2`, weight null) adds its own value's
-    * row without weight (or, for a null cell, one row with a null `value`).
+    * WHERE v2 IS NOT NULL GROUP BY 1, 2, 3` over a DistanceMatrix `dm`.
     */
   def of(dm: DataFrame): DataFrame =
-    dm.where(col("v2").isNotNull || col("r1") === col("r2"))
+    dm.where(col("v2").isNotNull)
       .groupBy(col("r1").as("id"), col("v1"), col("v2").as("value"))
-      .agg(sum(when(col("r1") =!= col("r2"), col("w"))).as("nearW"))
+      .agg(sum("w").as("nearW"))
 }

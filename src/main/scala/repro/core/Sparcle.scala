@@ -5,8 +5,6 @@ import scala.math.Ordering.Double.TotalOrdering
 import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 
-import repro.spatialjoin.{Copy, KnnJoin, RangeJoin}
-
 /** End-to-end Sparcle configuration for one spatial functional dependency
   * (Lat, Lon) → A.
   */
@@ -64,16 +62,17 @@ final case class Cell(id: Long, v1: String, detected: Boolean, candidates: Seq[C
   * semantics.
   *
   * Execution: every stage after the join reads only one cell's neighbour
-  * histogram, so [[decide]] runs them all per cell, inside the join's loop
-  * per grid cell: over the sorted runs of cell copies behind the range or
+  * histogram, so [[decide]] runs them all per cell, reducing the
+  * constraint's `DistanceMatrix.neighbours` inside the join's loop per grid
+  * cell: over the sorted runs of cell copies behind the range or
   * exact-location join's one exchange (one partition per core), or in the
   * round of the kNN join that finalizes the cell. Each run lists its copies
   * by id, so every histogram sum is a function of the input alone, whatever
   * its partitioning. `erroneous`, `candidates`, `labels` and `repairs` are
-  * projections of the per-cell frame, one [[Cell]] per row; the
-  * DistanceMatrix is built only when `dm` is read. The DistanceMatrix-input
-  * layer functions (`generate`, `allFormats`, [[repairsFrom]]) share these
-  * functions.
+  * projections of the per-cell frame, one [[Cell]] per row; `dm` reduces
+  * the same relation to rows when read, so a kNN run searches once. The
+  * DistanceMatrix-input layer functions (`generate`, `allFormats`,
+  * [[repairsFrom]]) share these functions.
   */
 object Sparcle {
 
@@ -92,24 +91,11 @@ object Sparcle {
   private[repro] def run(points: DataFrame, params: SparcleParams, stats: ValueStats,
                          fallback: Option[String]): SparcleResult = {
     val SparcleParams(constraint, candGen, margin) = params
-    // Decides each probe's cell in the join's loop, weighing its neighbours by distance.
-    val inJoin = (weight: Double => Double) => (a: Copy, neighbours: Iterator[(Copy, Double)]) =>
-      Some(decide(a.id, new Histogram(a.value, neighbours.map { case (b, dist) => (b.value, weight(dist)) }),
-                  stats, candGen, margin))
-    val (buildDm, cells) = constraint match {
-      case SpatialRange(d, w) =>
-        (() => DistanceMatrix.build(points, constraint),
-         RangeJoin.reduce(RangeJoin.cells(points, d))(inJoin(w.weight(_, d))))
-      case ExactLocation =>
-        (() => DistanceMatrix.build(points, constraint),
-         RangeJoin.reduce(RangeJoin.locations(points))(inJoin(_ => 1.0)))
-      case SpatialKnn(k, w) =>
-        // One search of the radius rounds serves the DistanceMatrix and the cells.
-        val rounds = KnnJoin.rounds(points, k)
-        (() => DistanceMatrix.knn(rounds.pairs, w),
-         rounds.reduce((a, nbs, dk) => inJoin(dist => if (dk == 0) 1.0 else w.weight(dist, dk))(a, nbs.iterator)))
-    }
-    lazy val dm = buildDm()
+    val neighbours = DistanceMatrix.neighbours(points, constraint)
+    // Decides each record's cell in the join's loop.
+    val cells = neighbours.reduce((a, nbs) =>
+      Some(decide(a.id, new Histogram(a.value, nbs.map(n => (n.copy.value, n.w))), stats, candGen, margin)))
+    lazy val dm = DistanceMatrix.of(neighbours)
     // The kNN relation is asymmetric: a conflict also flags its r2 cell.
     val flagged = constraint match {
       case _: SpatialKnn => cells.join(SpatialErrorDetector.erroneousCells(points, dm), Seq("id"), "left_semi")

@@ -7,9 +7,6 @@ import scala.reflect.runtime.universe.TypeTag
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** A pair of the kNN join: `r2` is one of the k nearest neighbours of `r1`, whose kth lies at `dk`. */
-final case class KnnPair(r1: Long, r2: Long, v1: String, v2: String, dist: Double, dk: Double)
-
 /** The searched radius rounds of a kNN self-join: each round's cells
   * ([[RangeJoin.cells]] at its radius) with the ids still open before it
   * (None: every point).
@@ -36,10 +33,6 @@ private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[
       }
     }.reduce(_ unionByName _)
   }
-
-  /** The kNN pairs: `r1, r2, v1, v2, dist, dk` for each of r1's k nearest neighbours r2. */
-  def pairs: DataFrame =
-    reduce((a, nbs, dk) => nbs.map { case (b, dist) => KnnPair(a.id, b.id, a.value, b.value, dist, dk) })
 }
 
 /** k-nearest-neighbor self-join, built on [[RangeJoin]]'s loop with a
@@ -59,18 +52,16 @@ private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[
   * still open, which the driver collects; the set is captured in the next
   * round's closures, so every round's plan reads only the input and nothing
   * is persisted. The other, run lazily by the consumer ([[KnnRounds.reduce]]),
-  * hands each finalized probe's k nearest to the consumer's function: the
-  * pair emitter of [[pairs]], or `Sparcle.clean`'s per-cell kernel.
+  * hands each finalized probe's k nearest and `dk` to the consumer's
+  * function: `DistanceMatrix.neighbours` weighs them for its reducers, the
+  * DistanceMatrix rows and `Sparcle.clean`'s per-cell kernel.
   *
-  * Output columns: `r1, r2, v1, v2, dist, dk` where r2 ranges over the k
-  * nearest neighbors of r1 (ties broken by (dist, r2) for determinism) and
-  * `dk` is the distance of r1's kth neighbor — the paper uses dk as the "d"
-  * of the weight function for kNN constraints. The relation is asymmetric,
-  * as in the paper's example (r7 lists one neighbor yet appears in r5's list).
+  * A probe's k nearest are ordered by (dist, id), so ties are broken by id,
+  * and `dk` is the distance of its kth — the paper uses dk as the "d" of the
+  * weight function for kNN constraints. The relation is asymmetric, as in
+  * the paper's example (r7 lists one neighbor yet appears in r5's list).
   */
 object KnnJoin {
-
-  def pairs(points: DataFrame, k: Int): DataFrame = rounds(points, k).pairs
 
   /** The radius rounds of `points`' kNN join: runs the extent job and one
     * open-id collect per round before the last.

@@ -29,8 +29,8 @@ final case class Cells(frame: DataFrame, near: Double => Boolean)
   * its probes with all its copies within exact Euclidean distance `d`. A
   * pair within `d` lies in neighbouring cells, so exactly one copy of the
   * second point meets the probe of the first. The public joins emit the
-  * loop's pairs as rows; `Sparcle.clean` and each radius round of
-  * [[KnnJoin]] reduce them inside the loop instead.
+  * loop's pairs as rows; `DistanceMatrix.neighbours` and each radius round
+  * of [[KnnJoin]] reduce them inside the loop instead.
   *
   * Input contract ("points" frame): columns `id: long`, `x: double`,
   * `y: double` (planar meters), `value: string` (nullable), unique ids.

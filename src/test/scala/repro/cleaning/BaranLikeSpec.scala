@@ -2,7 +2,7 @@ package repro.cleaning
 
 import org.apache.spark.sql.functions._
 
-import repro.{SparkSpec, TestPoints}
+import repro.{Oracle, SparkSpec, TestPoints}
 import repro.data.{AttrSpec, DatasetSpec, SpatialSynth}
 import repro.eval.Metrics
 import repro.geo.{Extent, RegionMap}
@@ -23,6 +23,40 @@ class BaranLikeSpec extends SparkSpec {
     val repairs = BaranLike.clean(pts, truth, roomyBudget.copy(pFalseAlarm = 0.0, pDetect = 1.0))
       .collect().map(r => r.getLong(0) -> r.getString(2)).toMap
     assert(repairs == Map(3L -> "right"))
+  }
+
+  test("co-located vote matches DuckDB's per-location majority, ties to the smallest value") {
+    // 24 lattice locations of 10 records each; every truth is "a", so each
+    // "b", "c" or null cell is flagged, and no labels are sampled.
+    val rng = new scala.util.Random(89)
+    val raw = (0L until 240L).map { i =>
+      val v = if (i % 11 == 10) null else Seq("a", "b", "c")(rng.nextInt(3))
+      (i, (i % 24 % 6) * 100.0, (i % 24 / 6) * 100.0, v)
+    }
+    val tied = raw.filter(_._4 != "a").count { p =>
+      val votes = raw.filter(o => o._1 != p._1 && o._2 == p._2 && o._3 == p._3 && o._4 != null)
+        .groupBy(_._4).values.map(_.size).toSeq.sorted.reverse
+      votes.size > 1 && votes(0) == votes(1)
+    }
+    assert(tied > 0, "the input must hold flagged records with tied votes")
+    val pts = TestPoints.df(spark, raw)
+    val truth = truthDf(raw.map(p => p._1 -> "a"))
+    val repairs = BaranLike.clean(pts, truth, roomyBudget.copy(pDetect = 1.0, pFalseAlarm = 0.0, nSamples = 0))
+    val sql =
+      """WITH p AS (SELECT CAST(id AS BIGINT) AS id, CAST(x AS DOUBLE) AS x, CAST(y AS DOUBLE) AS y, value
+        |           FROM pts),
+        |     e AS (SELECT a.id AS r1, b.value AS v2 FROM p a JOIN p b
+        |           ON a.x = b.x AND a.y = b.y AND a.id <> b.id WHERE b.value IS NOT NULL),
+        |     f AS (SELECT p.id, p.value,
+        |                  (SELECT v2 FROM e WHERE e.r1 = p.id
+        |                   GROUP BY r1, v2 ORDER BY count(*) DESC, v2 ASC LIMIT 1) AS vote
+        |           FROM p JOIN truth t ON CAST(t.id AS BIGINT) = p.id
+        |           WHERE p.value IS NULL OR t.value IS NULL OR p.value <> t.value)
+        |SELECT id, value AS oldValue, vote AS newValue FROM f
+        |WHERE vote IS NOT NULL AND (value IS NULL OR value <> vote)
+        |""".stripMargin
+    assert(repairs.count() > 0)
+    Oracle.assertEquivalent(repairs, sql, "pts" -> pts, "truth" -> truth)
   }
 
   test("value model transfers the dominant sampled correction") {

@@ -71,12 +71,7 @@ class ConstraintsSpec extends AnyFunSuite with PropHelpers {
     assert(SpatialKnn(10).weight == PowerWeight(2))
   }
 
-  test("ExactLocation weighs everything 1 (classic binary co-occurrence)") {
-    assert(ExactLocation.weight.weight(0, 1) == 1.0)
-  }
-
-  test("scalar and column weight forms agree") {
-    // Checked through Spark in DistanceMatrixSpec; here: scalar sanity grid.
+  test("weight is (1 - dist/d)^n on a grid of distances") {
     val w = PowerWeight(3)
     for (dist <- 0 to 1000 by 100)
       assert(math.abs(w.weight(dist, 1000) - math.pow(1 - dist / 1000.0, 3)) < 1e-12)

@@ -98,22 +98,6 @@ class DistanceMatrixSpec extends SparkSpec {
     assert(fromP1(0).getDouble(5) > 0.0)
   }
 
-  test("weight's scalar and column forms are bit-identical over random distances") {
-    import spark.implicits._
-    val d = 700.0
-    val rng = new scala.util.Random(26)
-    val dists = Seq(0.0, d / 3, d * (1 - 1e-12), d) ++ Seq.fill(2000)(rng.nextDouble() * d)
-    for (n <- Seq(0.0, 0.7, 1.5, 2.0)) {
-      val w = PowerWeight(n)
-      val cols = dists.toDF("dist").select(col("dist"), w.expr(col("dist"), lit(d))).collect()
-      cols.foreach { r =>
-        val scalar = w.weight(r.getDouble(0), d)
-        assert(java.lang.Double.doubleToLongBits(r.getDouble(1)) == java.lang.Double.doubleToLongBits(scalar),
-               s"n=$n dist=${r.getDouble(0)}: column ${r.getDouble(1)} vs scalar $scalar")
-      }
-    }
-  }
-
   test("a clean's dm, built on first read, is DistanceMatrix.build's relation row for row") {
     // A third of the points share a lattice location, so ExactLocation has pairs.
     val raw = TestPoints.random(150, 500, 3, seed = 27, nullEvery = 5).map { case p @ (id, x, y, v) =>

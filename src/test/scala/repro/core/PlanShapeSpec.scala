@@ -17,6 +17,7 @@ import org.scalatest.time.{Seconds, Span}
 
 import repro.{SparkSpec, TestPoints}
 import repro.cleaning.HoloCleanLike
+import repro.spatialjoin.KnnJoin
 
 /** The physical shape of a `clean` call: the spatial join is its only
   * shuffle, and the value statistics are one shuffle-free job. A rename or
@@ -81,6 +82,41 @@ class PlanShapeSpec extends SparkSpec with Eventually {
       case HashPartitioning(Seq(cx: Attribute, cy: Attribute), _) => assert((cx.name, cy.name) == ("cx", "cy"))
       case p => fail(s"a shuffle not keyed by grid cell: $p")
     }
+  }
+
+  /** The Spark jobs `body` starts, counted by job group. */
+  private def jobsOf(body: => Unit): Long = {
+    val sc = spark.sparkContext
+    val group = "plan-shape-jobs-of"
+    val jobs = new AtomicLong
+    val drained = new AtomicLong
+    val sentinel = ConcurrentHashMap.newKeySet[Int]()
+    val listener = new SparkListener {
+      private def groupOf(e: SparkListenerJobStart) =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (groupOf(e) == group) jobs.incrementAndGet()
+        else if (groupOf(e) == s"$group-sentinel") sentinel.add(e.jobId)
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (sentinel.contains(e.jobId)) drained.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted")
+      try body finally sc.clearJobGroup()
+      sc.setJobGroup(s"$group-sentinel", "listener drain")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      eventually(timeout(Span(30, Seconds))) { assert(drained.get == 1) }
+      jobs.get
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("a SpatialKnn clean searches once: its dm starts no job of its own") {
+    val search = jobsOf { ValueStats.of(pts); KnnJoin.rounds(pts, 5) }
+    var res: SparcleResult = null
+    assert(jobsOf { res = Sparcle.clean(pts, SparcleParams(SpatialKnn(5))) } == search)
+    assert(jobsOf(res.dm) == 0)
+    assert(res.dm.columns.toSeq == Seq("r1", "r2", "v1", "v2", "dist", "w"))
   }
 
   test("ValueStats.of runs one job and writes no shuffle bytes") {

@@ -5,9 +5,10 @@ import repro.{SparkSpec, TestPoints}
 class KnnJoinSpec extends SparkSpec {
 
   private def run(pts: Seq[TestPoints.Pt], k: Int) =
-    KnnJoin.pairs(TestPoints.df(spark, pts), k).collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getString(2), r.getString(3),
-                 r.getDouble(4), r.getDouble(5)))
+    KnnJoin.rounds(TestPoints.df(spark, pts), k)
+      .reduce((a, nbs, dk) => nbs.map { case (b, dist) => (a.id, b.id, a.value, b.value, dist, dk) })
+      .collect().map(r => (r.getLong(0), r.getLong(1), r.getString(2), r.getString(3),
+                           r.getDouble(4), r.getDouble(5)))
 
   private def asSets(rows: Seq[(Long, Long, String, String, Double, Double)]) =
     rows.map { case (r1, r2, v1, v2, d, dk) =>
@@ -112,6 +113,6 @@ class KnnJoinSpec extends SparkSpec {
 
   test("invalid arguments are rejected") {
     val pts = TestPoints.df(spark, Seq((1L, 0.0, 0.0, "a")))
-    intercept[IllegalArgumentException](KnnJoin.pairs(pts, 0))
+    intercept[IllegalArgumentException](KnnJoin.rounds(pts, 0))
   }
 }
