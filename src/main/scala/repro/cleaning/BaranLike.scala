@@ -2,7 +2,7 @@ package repro.cleaning
 
 import scala.math.Ordering.Double.TotalOrdering
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 
 import repro.core.{DistanceMatrix, ExactLocation, Histogram}
@@ -65,6 +65,8 @@ final case class BaranParams(
   */
 object BaranLike {
 
+  private val voteEncoder = Encoders.product[(Long, String)]
+
   /** Clean one dependent attribute.
     *
     * @param points points-contract frame `id, x, y, value` (the dirty data)
@@ -108,7 +110,7 @@ object BaranLike {
 
     // ---- Correction model 1: exact co-located majority vote, the top of
     // each record's exact-location histogram (votes desc, value asc).
-    val bestVote = DistanceMatrix.neighbours(points, ExactLocation).reduce { (a, nbs) =>
+    val bestVote = DistanceMatrix.neighbours(points, ExactLocation).reduce(voteEncoder) { (a, nbs) =>
       new Histogram(null, nbs.map(n => (n.copy.value, n.w))).entries
         .minByOption { case (v, votes) => (-votes, v) }.map { case (v, _) => (a.id, v) }
     }.toDF("id", "coLocated")

@@ -21,22 +21,29 @@ final case class SparcleParams(
 
 /** Everything a run produces, for inspection by tests and benches. Every
   * frame is lazy and nothing is persisted: collecting `repairs` runs the
-  * spatial join and, inside it, one loop per grid cell.
+  * spatial join and, inside it, one loop per grid cell. The other frames
+  * are built on first read, so a caller that reads only `repairs` pays for
+  * none of them.
   *
-  * @param erroneous  cell ids flagged by the spatial error detector
-  * @param candidates post-cutoff candidate lists with all formulator scores
-  * @param labels     Phase-3 auto-labels
-  * @param repairs    cells whose final value differs from the input:
-  *                   `id, oldValue (nullable), newValue`
+  * @param repairs cells whose final value differs from the input:
+  *                `id, oldValue (nullable), newValue`
   */
-final class SparcleResult(dmOf: => DataFrame, val erroneous: DataFrame, val candidates: DataFrame,
-                          val labels: DataFrame, val repairs: DataFrame) {
+final class SparcleResult(dmOf: => DataFrame, erroneousOf: => DataFrame, candidatesOf: => DataFrame,
+                          labelsOf: => DataFrame, val repairs: DataFrame) {
 
-  /** The DistanceMatrix: a debug and oracle view, built on first read. A
-    * range or exact-location run never reads it; a kNN run reads it for
-    * `erroneous`.
+  /** The DistanceMatrix: a debug and oracle view. A range or exact-location
+    * run never reads it; a kNN run reads it for `erroneous`.
     */
   lazy val dm: DataFrame = dmOf
+
+  /** Cell ids flagged by the spatial error detector. */
+  lazy val erroneous: DataFrame = erroneousOf
+
+  /** Post-cutoff candidate lists with all formulator scores. */
+  lazy val candidates: DataFrame = candidatesOf
+
+  /** Phase-3 auto-labels. */
+  lazy val labels: DataFrame = labelsOf
 }
 
 /** One cell's outcome: detector verdict, Phase-3 candidates in rank order,
@@ -93,11 +100,11 @@ object Sparcle {
     val SparcleParams(constraint, candGen, margin) = params
     val neighbours = DistanceMatrix.neighbours(points, constraint)
     // Decides each record's cell in the join's loop.
-    val cells = neighbours.reduce((a, nbs) =>
+    val cells = neighbours.reduce(cellEncoder)((a, nbs) =>
       Some(decide(a.id, new Histogram(a.value, nbs.map(n => (n.copy.value, n.w))), stats, candGen, margin)))
     lazy val dm = DistanceMatrix.of(neighbours)
     // The kNN relation is asymmetric: a conflict also flags its r2 cell.
-    val flagged = constraint match {
+    lazy val flagged = constraint match {
       case _: SpatialKnn => cells.join(SpatialErrorDetector.erroneousCells(points, dm), Seq("id"), "left_semi")
       case _             => cells.where(col("detected"))
     }
@@ -110,6 +117,8 @@ object Sparcle {
     new SparcleResult(dm, flagged.select("id"), SpatialCandidateGenerator.candidatesOf(flagged),
                       SpatialCandidateGenerator.labelsOf(flagged), repairs)
   }
+
+  private val cellEncoder = Encoders.product[Cell]
 
   /** The per-cell kernel (§3.3–§5): for cell `id` with histogram `hist`,
     * the detector's verdict, Phases 1–3 with the host formats, and the

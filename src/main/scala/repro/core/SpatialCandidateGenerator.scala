@@ -61,31 +61,36 @@ final case class ValueStats(counts: Map[String, Long], total: Long) {
 
 object ValueStats {
 
-  /** The statistics of `points`, counted per input partition and merged on
-    * the driver: one job, no shuffle. The same pass checks the points
-    * contract: a `string` value column, and a non-null `id` with finite `x`
-    * and `y` on every record. Each partition also returns its ids sorted,
-    * and the driver merges them to check that no id repeats: the join
-    * tells a record's pair with itself from its neighbours by id.
+  /** The statistics of `points`, counted per partition and merged on the
+    * driver: one job, no shuffle, at most one task per core (`coalesce`).
+    * The same pass checks the points contract: a `string` value column, and
+    * a non-null `id` with finite `x` and `y` on every record. Each partition
+    * also returns its ids sorted, and the driver merges them to check that
+    * no id repeats: the join tells a record's pair with itself from its
+    * neighbours by id.
     */
   def of(points: DataFrame): ValueStats = {
     val valueType = points.schema("value").dataType
     require(valueType == StringType, s"points: value must be a string column, got $valueType")
-    val parts = points
+    val parts = points.coalesce(points.sparkSession.sparkContext.defaultParallelism)
       .select(col("id").cast("long"), col("x").cast("double"), col("y").cast("double"), col("value"))
-      .rdd.mapPartitions { rows =>
+      .queryExecution.toRdd.mapPartitions { rows =>
         val counts = mutable.HashMap.empty[String, Long]
         val ids = Array.newBuilder[Long]
         var bad: Option[String] = None
         rows.foreach { r =>
           def finite(i: Int) = !r.isNullAt(i) && r.getDouble(i).isFinite
+          def show(i: Int) = if (r.isNullAt(i)) "null" else r.getDouble(i).toString
           if (bad.isEmpty) {
-            if (r.isNullAt(0)) bad = Some(s"null id (x=${r.get(1)}, y=${r.get(2)})")
+            if (r.isNullAt(0)) bad = Some(s"null id (x=${show(1)}, y=${show(2)})")
             else if (!finite(1) || !finite(2))
-              bad = Some(s"id ${r.get(0)}: non-finite coordinates (${r.get(1)}, ${r.get(2)})")
+              bad = Some(s"id ${r.getLong(0)}: non-finite coordinates (${show(1)}, ${show(2)})")
           }
           if (!r.isNullAt(0)) ids += r.getLong(0)
-          if (!r.isNullAt(3)) counts(r.getString(3)) = counts.getOrElse(r.getString(3), 0L) + 1
+          if (!r.isNullAt(3)) {
+            val v = r.getUTF8String(3).toString
+            counts(v) = counts.getOrElse(v, 0L) + 1
+          }
         }
         val sorted = ids.result()
         java.util.Arrays.sort(sorted)

@@ -2,9 +2,8 @@ package repro.spatialjoin
 
 import scala.collection.mutable.ListBuffer
 import scala.math.Ordering.Double.TotalOrdering
-import scala.reflect.runtime.universe.TypeTag
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 
 /** The searched radius rounds of a kNN self-join: each round's cells
@@ -13,17 +12,18 @@ import org.apache.spark.sql.functions._
   */
 private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[Set[Long]])]) {
 
-  /** The rows `f` gives for every probe with its k nearest neighbours (and
-    * their distance) in (dist, id) order and `dk`, the last one's distance.
+  /** The rows `f` gives, encoded by `enc`, for every probe with its k
+    * nearest neighbours (and their distance) in (dist, id) order and `dk`,
+    * the last one's distance.
     * A probe is finalized in the first round where it has ≥ k neighbours
     * within the radius, and the last round finalizes every probe still
     * open: its radius exceeds the extent, or no probe stays open after it.
     */
-  def reduce[A <: Product : TypeTag](f: (Copy, Seq[(Copy, Double)], Double) => IterableOnce[A]): DataFrame = {
+  def reduce[A](enc: Encoder[A])(f: (Copy, Seq[(Copy, Double)], Double) => IterableOnce[A]): DataFrame = {
     val k = kEff
     rounds.zipWithIndex.map { case ((cells, open), i) =>
       val last = i == rounds.size - 1
-      RangeJoin.reduce(cells) { (a, bs) =>
+      RangeJoin.reduce(cells, enc) { (a, bs) =>
         lazy val nbs = bs.toSeq
         if (!open.forall(_(a.id)) || nbs.size < k && !last) Nil
         else {
@@ -87,8 +87,8 @@ object KnnJoin {
       val cells = RangeJoin.cells(points, r)
       val before = open // the closures capture this round's set, not the var
       rounds += cells -> before
-      if (r < last) open = Some(RangeJoin.reduce(cells)((a, bs) =>
-        if (before.forall(_(a.id)) && bs.take(kEff).size < kEff) Some(Tuple1(a.id)) else None)
+      if (r < last) open = Some(RangeJoin.reduce(cells, Encoders.scalaLong)((a, bs) =>
+        if (before.forall(_(a.id)) && bs.take(kEff).size < kEff) Some(a.id) else None)
         .collect().map(_.getLong(0)).toSet)
     }
     KnnRounds(kEff, rounds.toSeq)

@@ -1,8 +1,6 @@
 package repro.spatialjoin
 
-import scala.reflect.runtime.universe.TypeTag
-
-import org.apache.spark.sql.{Column, DataFrame, Encoders, Row}
+import org.apache.spark.sql.{Column, DataFrame, Encoder, Encoders, Row}
 import org.apache.spark.sql.functions._
 
 /** A point's copy in a grid cell; the copy in its home cell is its `probe`. */
@@ -21,16 +19,30 @@ final case class Cells(frame: DataFrame, near: Double => Boolean)
   * This is the spatial-database substrate Sparcle needs (the paper delegates
   * to PostGIS): all pairs of records strictly within distance `d` of each
   * other, computed partition-locally in the manner of PBSM (Patel & DeWitt,
-  * SIGMOD 1996). Space is cut into grid cells of side `d`. Every point is
-  * copied into the 3×3 cells around its home cell, the copy in the home cell
-  * being its *probe*. One exchange, one partition per core, hash-partitions
-  * the copies by cell; a sort within each partition by cell and id lays
-  * every cell's copies out as one run, and one loop per run ([[scan]]) pairs
-  * its probes with all its copies within exact Euclidean distance `d`. A
-  * pair within `d` lies in neighbouring cells, so exactly one copy of the
-  * second point meets the probe of the first. The public joins emit the
-  * loop's pairs as rows; `DistanceMatrix.neighbours` and each radius round
-  * of [[KnnJoin]] reduce them inside the loop instead.
+  * SIGMOD 1996), which copies an object only into the partitions its extent
+  * reaches. Space is cut into grid cells of side 2d. A point is copied into
+  * every cell its square of half-side d reaches: cells `floor((x − d) / 2d)`
+  * to `floor((x + d) / 2d)` in x, likewise in y. That is 4 cells for a point
+  * in general position and fewer on a cell border (the 3×3 cells of side d
+  * gave 9); rounding adds a third cell in an axis only within a few ulps of
+  * an odd multiple of d. Its copy in its home cell
+  * `(floor(x / 2d), floor(y / 2d))` is its *probe*.
+  *
+  * Exactness: the computed distance of a pair is at least the computed
+  * |a.x − b.x|, and IEEE subtraction rounds monotonically, so a pair with
+  * `dist < d` has `b.x − d ≤ a.x ≤ b.x + d` after rounding, and likewise in
+  * y. Division by 2d and `floor` are monotone too, so the probe cell of `a`
+  * lies in the span of `b`'s copies: exactly one copy of `b` meets the probe
+  * of `a`.
+  *
+  * The copies are read with one map task per core (`coalesce`, which does
+  * nothing on an input with that many partitions or fewer). One exchange, one
+  * partition per core, hash-partitions them by cell; a sort within each
+  * partition by cell and id lays every cell's copies out as one run, and one
+  * loop per run ([[scan]]) pairs its probes with all its copies within exact
+  * Euclidean distance `d`. The public joins emit the loop's pairs as rows;
+  * `DistanceMatrix.neighbours` and each radius round of [[KnnJoin]] reduce
+  * them inside the loop instead.
   *
   * Input contract ("points" frame): columns `id: long`, `x: double`,
   * `y: double` (planar meters), `value: string` (nullable), unique ids.
@@ -54,16 +66,23 @@ object RangeJoin {
     */
   def exactPairs(points: DataFrame): DataFrame = emit(locations(points))
 
-  /** The copies of the range join, grouped by grid cell of side `d`. */
-  private[repro] def cells(points: DataFrame, d: Double): Cells =
-    group(copies(points, grid(d), reach = 1), _ < d)
+  /** The copies of the range join, grouped by grid cell of side 2d. */
+  private[repro] def cells(points: DataFrame, d: Double): Cells = {
+    require(d > 0, s"range distance must be positive, got $d")
+    val side = 2 * d
+    def cell(c: Column): Column = floor(c / side)
+    def span(c: Column): Column = explode(sequence(cell(c - d), cell(c + d)))
+    val spread = perCore(points).withColumn("cx", span(col("x"))).withColumn("cy", span(col("y")))
+    group(copies(spread, col("cx"), col("cy"), col("cx") === cell(col("x")) && col("cy") === cell(col("y"))),
+          _ < d)
+  }
 
   /** The copies of the exact-location join: a group-by on the location,
     * whose cell key is the coordinates' bit patterns (a key on the doubles
     * themselves would be normalized by Spark and re-shuffled downstream).
     */
   private[repro] def locations(points: DataFrame): Cells =
-    group(copies(points, (bits(col("x")), bits(col("y"))), reach = 0), _ == 0.0)
+    group(copies(perCore(points), bits(col("x")), bits(col("y")), lit(true)), _ == 0.0)
 
   /** The join loop of one cell: `f` of each probe, in id order, with
     * the cell's copies (and their distance) that pass `near`, in id order.
@@ -78,11 +97,13 @@ object RangeJoin {
         .filter { case (_, dist) => near(dist) })
     }
 
-  /** The rows `f` gives for every probe of `cells`, by [[scan]] in each cell. */
-  private[repro] def reduce[A <: Product : TypeTag](cells: Cells)
-                                                   (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): DataFrame = {
+  /** The rows `f` gives for every probe of `cells`, by [[scan]] in each
+    * cell, encoded by `enc` (which the caller builds once, not per call).
+    */
+  private[repro] def reduce[A](cells: Cells, enc: Encoder[A])
+                              (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): DataFrame = {
     val near = cells.near
-    cells.frame.mapPartitions(rows => runs(rows).flatMap(scan(_, near)(f)))(Encoders.product[A]).toDF()
+    cells.frame.mapPartitions(rows => runs(rows).flatMap(scan(_, near)(f)))(enc).toDF()
   }
 
   /** The runs of equal cell key in a partition of sorted copies. */
@@ -100,26 +121,16 @@ object RangeJoin {
     }
   }
 
-  /** Grid cell of side `d`. */
-  private def grid(d: Double): (Column, Column) = {
-    require(d > 0, s"range distance must be positive, got $d")
-    (floor(col("x") / d).cast("long"), floor(col("y") / d).cast("long"))
-  }
+  /** `points` read with at most one map task per core of the job. */
+  private def perCore(points: DataFrame): DataFrame =
+    points.coalesce(points.sparkSession.sparkContext.defaultParallelism)
 
   /** IEEE bits of a coordinate, with −0.0 folded into 0.0. */
   private val bits = udf((v: Double) => java.lang.Double.doubleToLongBits(v + 0.0))
 
-  /** Each point's [[Copy]] in each cell `cx, cy` within `reach` of its home cell. */
-  private def copies(points: DataFrame, home: (Column, Column), reach: Int): DataFrame = {
-    val offsets = array((-reach to reach).map(lit): _*)
-    points
-      .select(col("id"), col("x"), col("y"), col("value"), home._1.as("hx"), home._2.as("hy"))
-      .withColumn("dx", explode(offsets))
-      .withColumn("dy", explode(offsets))
-      .select(
-        (col("hx") + col("dx")).as("cx"), (col("hy") + col("dy")).as("cy"),
-        col("id"), col("x"), col("y"), col("value"), (col("dx") === 0 && col("dy") === 0).as("probe"))
-  }
+  /** Each point's [[Copy]] in cell `cx, cy`. */
+  private def copies(points: DataFrame, cx: Column, cy: Column, probe: Column): DataFrame =
+    points.select(cx.as("cx"), cy.as("cy"), col("id"), col("x"), col("y"), col("value"), probe.as("probe"))
 
   /** The join's one exchange: the copies hash-partitioned by cell into one
     * partition per core of the job (`defaultParallelism`), then sorted by
@@ -132,7 +143,9 @@ object RangeJoin {
             .sortWithinPartitions("cx", "cy", "id"),
           near)
 
+  private val pairEncoder = Encoders.product[Pair]
+
   /** The pair emitter: every pair [[scan]] finds, as a row. */
   private def emit(cells: Cells): DataFrame =
-    reduce(cells)((a, bs) => bs.map { case (b, dist) => Pair(a.id, b.id, a.value, b.value, dist) })
+    reduce(cells, pairEncoder)((a, bs) => bs.map { case (b, dist) => Pair(a.id, b.id, a.value, b.value, dist) })
 }

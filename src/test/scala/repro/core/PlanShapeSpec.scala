@@ -3,6 +3,8 @@ package repro.core
 import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.AtomicLong
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.Attribute
@@ -84,21 +86,28 @@ class PlanShapeSpec extends SparkSpec with Eventually {
     }
   }
 
-  /** The Spark jobs `body` starts, counted by job group. */
-  private def jobsOf(body: => Unit): Long = {
+  /** The Spark jobs `body` starts, counted by job group, and the tasks each
+    * of their stages runs.
+    */
+  private def countsOf(body: => Unit): (Long, Map[Int, Int]) = {
     val sc = spark.sparkContext
     val group = "plan-shape-jobs-of"
     val jobs = new AtomicLong
     val drained = new AtomicLong
     val sentinel = ConcurrentHashMap.newKeySet[Int]()
+    val tasks = new ConcurrentHashMap[Int, Int]()
     val listener = new SparkListener {
       private def groupOf(e: SparkListenerJobStart) =
         Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (groupOf(e) == group) jobs.incrementAndGet()
-        else if (groupOf(e) == s"$group-sentinel") sentinel.add(e.jobId)
+        if (groupOf(e) == group) {
+          jobs.incrementAndGet()
+          e.stageIds.foreach(tasks.putIfAbsent(_, 0))
+        } else if (groupOf(e) == s"$group-sentinel") sentinel.add(e.jobId)
       override def onJobEnd(e: SparkListenerJobEnd): Unit =
         if (sentinel.contains(e.jobId)) drained.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        tasks.computeIfPresent(e.stageId, (_, n) => n + 1)
     }
     sc.addSparkListener(listener)
     try {
@@ -107,9 +116,12 @@ class PlanShapeSpec extends SparkSpec with Eventually {
       sc.setJobGroup(s"$group-sentinel", "listener drain")
       try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
       eventually(timeout(Span(30, Seconds))) { assert(drained.get == 1) }
-      jobs.get
+      (jobs.get, tasks.asScala.toMap)
     } finally sc.removeSparkListener(listener)
   }
+
+  /** The Spark jobs `body` starts, counted by job group. */
+  private def jobsOf(body: => Unit): Long = countsOf(body)._1
 
   test("a SpatialKnn clean searches once: its dm starts no job of its own") {
     val search = jobsOf { ValueStats.of(pts); KnnJoin.rounds(pts, 5) }
@@ -154,5 +166,21 @@ class PlanShapeSpec extends SparkSpec with Eventually {
       assert(jobs.get == 1)
       assert(shuffleBytes.get == 0)
     } finally sc.removeSparkListener(listener)
+  }
+
+  test("on a 16-partition input, a clean runs 3 jobs and at most one task per core in every stage") {
+    val cores = spark.sparkContext.defaultParallelism
+    val wide = spark.createDataFrame(spark.sparkContext.parallelize(pts.collect().toSeq, 16), pts.schema)
+    assert(wide.rdd.getNumPartitions == 16)
+    val cleans = Seq[(String, () => SparcleResult)](
+      "SpatialRange" -> (() => Sparcle.clean(wide, SparcleParams(SpatialRange(300, PowerWeight(2))))),
+      "HoloCleanLike" -> (() => HoloCleanLike.clean(wide)))
+    for ((name, clean) <- cleans) {
+      val (jobs, tasks) = countsOf(clean().repairs.collect())
+      assert(jobs == 3, name)
+      // The value statistics, the exchange's map stage and its reduce stage.
+      assert(tasks.values.count(_ > 0) == 3, s"$name: $tasks")
+      assert(tasks.values.forall(_ <= cores), s"$name: $tasks")
+    }
   }
 }

@@ -72,6 +72,61 @@ class RangeJoinSpec extends SparkSpec {
     assert(got == bruteSet(pts, 2.0))
   }
 
+  test("range join matches brute force on cell borders, at ±1 ulp of them and on large coordinates") {
+    // Coordinates on multiples of d (so of the 2d cell side too), one ulp to
+    // either side, around the origin and far from it on both signs. With
+    // d = 0.75 neighbouring multiples lie exactly d apart, which the strict
+    // test excludes; d = 0.1 makes every multiple a rounded value.
+    for (d <- Seq(0.75, 0.1); base <- Seq(0L, -1000001L, 1000000000L, -4000000000001L)) {
+      val coords = (-3L to 3L).map(k => (base + k) * d)
+        .flatMap(c => Seq(math.nextDown(c), c, math.nextUp(c)))
+      val pts = for ((x, i) <- coords.zipWithIndex; (y, j) <- coords.zipWithIndex if (i + j) % 4 == 0)
+        yield (i * 100L + j, x, y, s"v${(i + j) % 3}")
+      // The join's distance, bit for bit (Geo.dist's hypot rounds otherwise).
+      val brute = for {
+        a <- pts; b <- pts if a._1 != b._1
+        dist = math.sqrt(StrictMath.pow(a._2 - b._2, 2) + StrictMath.pow(a._3 - b._3, 2)) if dist < d
+      } yield (a._1, b._1, dist)
+      val got = RangeJoin.pairs(TestPoints.df(spark, pts), d).collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(4)))
+      assert(got.length == brute.length, s"d=$d base=$base")
+      assert(got.toSet == brute.toSet, s"d=$d base=$base")
+      assert(brute.nonEmpty && brute.size < pts.size * (pts.size - 1), s"d=$d base=$base")
+    }
+  }
+
+  /** Each point's copies in `RangeJoin.cells`: its cells and its probe cells. */
+  private def copiesOf(pts: Seq[TestPoints.Pt], d: Double) =
+    RangeJoin.cells(TestPoints.df(spark, pts), d).frame.collect().groupBy(_.getLong(2)).map { case (id, cs) =>
+      def cells(rows: Seq[org.apache.spark.sql.Row]) = rows.map(c => (c.getLong(0), c.getLong(1)))
+      id -> (cells(cs.toSeq).toSet, cells(cs.toSeq.filter(_.getBoolean(6))))
+    }
+
+  test("range join copies each point into the cells of side 2d that its span reaches, one of them its probe") {
+    val d = 0.75
+    val coords = Seq(-3000000000000.0, -1.5, -0.75, 0.0, 0.75, 1.5, 7.0, 1e9)
+      .flatMap(c => Seq(math.nextDown(c), c, math.nextUp(c), c + 0.3 * d))
+    val pts = for ((x, i) <- coords.zipWithIndex; (y, j) <- coords.zipWithIndex)
+      yield (i * 100L + j, x, y, "v")
+    def cell(c: Double) = math.floor(c / (2 * d)).toLong
+    def span(c: Double) = cell(c - d) to cell(c + d)
+    val copies = copiesOf(pts, d)
+    assert(copies.keySet == pts.map(_._1).toSet)
+    for ((id, x, y, _) <- pts) {
+      val (cells, probes) = copies(id)
+      assert(cells == (for (cx <- span(x); cy <- span(y)) yield (cx, cy)).toSet, s"cells of $id")
+      assert(probes == Seq((cell(x), cell(y))), s"probe of $id")
+    }
+  }
+
+  test("range join copies a point in general position into 4 cells") {
+    val pts = TestPoints.random(n = 300, extent = 5000, nValues = 2, seed = 5)
+      .map { case (id, x, y, v) => (id, x - 2500, y - 2500, v) }
+    val copies = copiesOf(pts, 40)
+    assert(copies.size == pts.size)
+    assert(copies.values.forall { case (cells, probes) => cells.size == 4 && probes.size == 1 })
+  }
+
   test("range join rejects non-positive d") {
     val pts = TestPoints.df(spark, Seq((1L, 0.0, 0.0, "a")))
     intercept[IllegalArgumentException](RangeJoin.pairs(pts, 0))
