@@ -110,10 +110,11 @@ object BaranLike {
 
     // ---- Correction model 1: exact co-located majority vote, the top of
     // each record's exact-location histogram (votes desc, value asc).
-    val bestVote = DistanceMatrix.neighbours(points, ExactLocation).reduce(voteEncoder) { (a, nbs) =>
-      new Histogram(null, nbs.map(n => (n.copy.value, n.w))).entries
-        .minByOption { case (v, votes) => (-votes, v) }.map { case (v, _) => (a.id, v) }
-    }.toDF("id", "coLocated")
+    val bestVote = points.sparkSession.createDataset(
+      DistanceMatrix.neighbours(points, ExactLocation).reduce { (a, nbs) =>
+        new Histogram(null, nbs.map(n => (n.copy.value, n.w))).entries
+          .minByOption { case (v, votes) => (-votes, v) }.map { case (v, _) => (a.id, v) }
+      })(voteEncoder).toDF("id", "coLocated")
 
     // ---- Correction model 2: value model transferred from sampled labels.
     val sampled = flagged.where(col("isError"))

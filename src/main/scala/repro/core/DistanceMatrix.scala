@@ -1,6 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Encoder, Encoders}
+import scala.reflect.ClassTag
+
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Encoders}
 
 import repro.spatialjoin.{Cells, Copy, KnnJoin, RangeJoin}
 
@@ -10,10 +13,8 @@ final case class Neighbour(copy: Copy, dist: Double, w: Double)
 /** A constraint's neighbour relation, not materialized. */
 trait Neighbours {
 
-  /** The rows `f` gives for every record with its neighbours, inside the
-    * join's loop, encoded by `enc` (which the caller builds once, not per call).
-    */
-  def reduce[A](enc: Encoder[A])(f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): DataFrame
+  /** What `f` gives for every record with its neighbours, inside the join's loop. */
+  def reduce[A: ClassTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): RDD[A]
 }
 
 /** The spatial self-join of §3.2: each r1 with every r2 that satisfies the
@@ -29,13 +30,15 @@ object DistanceMatrix {
     * `constraint`: `r1, r2, v1, v2, dist, w`, where v1/v2 are the (possibly
     * dirty, possibly null) values of the dependent attribute.
     */
-  def build(points: DataFrame, constraint: SpatialConstraint): DataFrame = of(neighbours(points, constraint))
+  def build(points: DataFrame, constraint: SpatialConstraint): DataFrame =
+    of(points, neighbours(points, constraint))
 
   private val rowEncoder = Encoders.product[(Long, Long, String, String, Double, Double)]
 
-  /** The rows of `neighbours`. */
-  private[repro] def of(neighbours: Neighbours): DataFrame =
-    neighbours.reduce(rowEncoder)((a, nbs) => nbs.map(n => (a.id, n.copy.id, a.value, n.copy.value, n.dist, n.w)))
+  /** The rows of `neighbours`, the relation of `points`. */
+  private[repro] def of(points: DataFrame, neighbours: Neighbours): DataFrame =
+    points.sparkSession.createDataset(neighbours.reduce((a, nbs) =>
+      nbs.map(n => (a.id, n.copy.id, a.value, n.copy.value, n.dist, n.w))))(rowEncoder)
       .toDF("r1", "r2", "v1", "v2", "dist", "w")
 
   /** The neighbour relation of `points` under `constraint`: the range join
@@ -49,11 +52,11 @@ object DistanceMatrix {
     case SpatialKnn(k, w) =>
       val rounds = KnnJoin.rounds(points, k)
       new Neighbours {
-        def reduce[A](enc: Encoder[A])(f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): DataFrame = {
+        def reduce[A: ClassTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): RDD[A] = {
           val weight = w // the closure must not capture this wrapper
           // dk = 0 happens only when all k neighbours sit at the exact same
           // location; they are perfect co-occurrences, so weight 1.
-          rounds.reduce(enc)((a, nbs, dk) => f(a, nbs.iterator.map { case (b, dist) =>
+          rounds.reduce((a, nbs, dk) => f(a, nbs.iterator.map { case (b, dist) =>
             Neighbour(b, dist, if (dk == 0) 1.0 else weight.weight(dist, dk)) }))
         }
       }
@@ -61,9 +64,9 @@ object DistanceMatrix {
 
   /** The neighbours of the join over `cells`, each weighed by `weigh(dist)`. */
   private def weighed(cells: Cells)(weigh: Double => Double): Neighbours = new Neighbours {
-    def reduce[A](enc: Encoder[A])(f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): DataFrame = {
+    def reduce[A: ClassTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): RDD[A] = {
       val w = weigh // the closure must not capture this wrapper
-      RangeJoin.reduce(cells, enc)((a, bs) => f(a, bs.map { case (b, dist) => Neighbour(b, dist, w(dist)) }))
+      RangeJoin.reduce(cells)((a, bs) => f(a, bs.map { case (b, dist) => Neighbour(b, dist, w(dist)) }))
     }
   }
 }

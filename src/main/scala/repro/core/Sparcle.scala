@@ -2,8 +2,9 @@ package repro.core
 
 import scala.math.Ordering.Double.TotalOrdering
 
-import org.apache.spark.sql.{DataFrame, Encoders}
+import org.apache.spark.sql.{DataFrame, Encoders, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 /** End-to-end Sparcle configuration for one spatial functional dependency
   * (Lat, Lon) → A.
@@ -72,12 +73,14 @@ final case class Cell(id: Long, v1: String, detected: Boolean, candidates: Seq[C
   * histogram, so [[decide]] runs them all per cell, reducing the
   * constraint's `DistanceMatrix.neighbours` inside the join's loop per grid
   * cell: over the sorted runs of cell copies behind the range or
-  * exact-location join's one exchange (one partition per core), or in the
+  * exact-location join's one shuffle (one partition per core), or in the
   * round of the kNN join that finalizes the cell. Each run lists its copies
   * by id, so every histogram sum is a function of the input alone, whatever
-  * its partitioning. `erroneous`, `candidates`, `labels` and `repairs` are
-  * projections of the per-cell frame, one [[Cell]] per row; `dm` reduces
-  * the same relation to rows when read, so a kNN run searches once. The
+  * its partitioning. The per-cell output is one RDD of [[Cell]]s: `repairs`
+  * is a frame over its filtered rows (no SQL operator is planned per call),
+  * and `erroneous`, `candidates` and `labels` are projections of a frame
+  * over it, built when read; `dm` reduces the same relation to rows when
+  * read, so a kNN run searches once. The
   * DistanceMatrix-input layer functions (`generate`, `allFormats`,
   * [[repairsFrom]]) share these functions.
   */
@@ -98,25 +101,33 @@ object Sparcle {
   private[repro] def run(points: DataFrame, params: SparcleParams, stats: ValueStats,
                          fallback: Option[String]): SparcleResult = {
     val SparcleParams(constraint, candGen, margin) = params
+    val spark = points.sparkSession
     val neighbours = DistanceMatrix.neighbours(points, constraint)
     // Decides each record's cell in the join's loop.
-    val cells = neighbours.reduce(cellEncoder)((a, nbs) =>
+    val cells = neighbours.reduce((a, nbs) =>
       Some(decide(a.id, new Histogram(a.value, nbs.map(n => (n.copy.value, n.w))), stats, candGen, margin)))
-    lazy val dm = DistanceMatrix.of(neighbours)
+    lazy val frame = spark.createDataset(cells)(cellEncoder).toDF()
+    lazy val dm = DistanceMatrix.of(points, neighbours)
     // The kNN relation is asymmetric: a conflict also flags its r2 cell.
     lazy val flagged = constraint match {
-      case _: SpatialKnn => cells.join(SpatialErrorDetector.erroneousCells(points, dm), Seq("id"), "left_semi")
-      case _             => cells.where(col("detected"))
+      case _: SpatialKnn => frame.join(SpatialErrorDetector.erroneousCells(points, dm), Seq("id"), "left_semi")
+      case _             => frame.where(col("detected"))
     }
     // A detected cell without any candidate (a null cell whose neighbours are
     // all null or absent) takes the fallback.
-    val repairs = cells.where(col("detected"))
-      .select(col("id"), col("v1").as("oldValue"),
-              coalesce(col("newValue"), lit(fallback.orNull)).as("newValue"))
-      .where(col("newValue").isNotNull && changed)
+    val fill = fallback.orNull
+    val repairs = spark.createDataFrame(cells.flatMap { c =>
+      val v = if (c.newValue != null) c.newValue else fill
+      if (c.detected && v != null && v != c.v1) Some(Row(c.id, c.v1, v)) else None
+    }, repairSchema(fallback.isEmpty))
     new SparcleResult(dm, flagged.select("id"), SpatialCandidateGenerator.candidatesOf(flagged),
                       SpatialCandidateGenerator.labelsOf(flagged), repairs)
   }
+
+  /** `id, oldValue, newValue`; `newValue` is null only where no fallback fills it. */
+  private def repairSchema(nullable: Boolean): StructType =
+    StructType(Seq(StructField("id", LongType, nullable = false), StructField("oldValue", StringType),
+                   StructField("newValue", StringType, nullable)))
 
   private val cellEncoder = Encoders.product[Cell]
 

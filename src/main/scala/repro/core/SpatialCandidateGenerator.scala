@@ -5,7 +5,8 @@ import scala.math.Ordering.Double.TotalOrdering
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StringType
+
+import repro.spatialjoin.RangeJoin
 
 /** Parameters of the candidate generation process (§4).
   *
@@ -62,7 +63,8 @@ final case class ValueStats(counts: Map[String, Long], total: Long) {
 object ValueStats {
 
   /** The statistics of `points`, counted per partition and merged on the
-    * driver: one job, no shuffle, at most one task per core (`coalesce`).
+    * driver: one job over the input's rows (`RangeJoin.rows`), no shuffle,
+    * at most one task per core.
     * The same pass checks the points contract: a `string` value column, and
     * a non-null `id` with finite `x` and `y` on every record. Each partition
     * also returns its ids sorted, and the driver merges them to check that
@@ -70,32 +72,28 @@ object ValueStats {
     * neighbours by id.
     */
   def of(points: DataFrame): ValueStats = {
-    val valueType = points.schema("value").dataType
-    require(valueType == StringType, s"points: value must be a string column, got $valueType")
-    val parts = points.coalesce(points.sparkSession.sparkContext.defaultParallelism)
-      .select(col("id").cast("long"), col("x").cast("double"), col("y").cast("double"), col("value"))
-      .queryExecution.toRdd.mapPartitions { rows =>
-        val counts = mutable.HashMap.empty[String, Long]
-        val ids = Array.newBuilder[Long]
-        var bad: Option[String] = None
-        rows.foreach { r =>
-          def finite(i: Int) = !r.isNullAt(i) && r.getDouble(i).isFinite
-          def show(i: Int) = if (r.isNullAt(i)) "null" else r.getDouble(i).toString
-          if (bad.isEmpty) {
-            if (r.isNullAt(0)) bad = Some(s"null id (x=${show(1)}, y=${show(2)})")
-            else if (!finite(1) || !finite(2))
-              bad = Some(s"id ${r.getLong(0)}: non-finite coordinates (${show(1)}, ${show(2)})")
-          }
-          if (!r.isNullAt(0)) ids += r.getLong(0)
-          if (!r.isNullAt(3)) {
-            val v = r.getUTF8String(3).toString
-            counts(v) = counts.getOrElse(v, 0L) + 1
-          }
+    val parts = RangeJoin.rows(points).mapPartitions { rows =>
+      val counts = mutable.HashMap.empty[String, Long]
+      val ids = Array.newBuilder[Long]
+      var bad: Option[String] = None
+      rows.foreach { r =>
+        def finite(i: Int) = !r.isNullAt(i) && r.getDouble(i).isFinite
+        def show(i: Int) = if (r.isNullAt(i)) "null" else r.getDouble(i).toString
+        if (bad.isEmpty) {
+          if (r.isNullAt(0)) bad = Some(s"null id (x=${show(1)}, y=${show(2)})")
+          else if (!finite(1) || !finite(2))
+            bad = Some(s"id ${r.getLong(0)}: non-finite coordinates (${show(1)}, ${show(2)})")
         }
-        val sorted = ids.result()
-        java.util.Arrays.sort(sorted)
-        Iterator((counts.toMap, sorted, bad))
-      }.collect()
+        if (!r.isNullAt(0)) ids += r.getLong(0)
+        if (!r.isNullAt(3)) {
+          val v = r.getUTF8String(3).toString
+          counts(v) = counts.getOrElse(v, 0L) + 1
+        }
+      }
+      val sorted = ids.result()
+      java.util.Arrays.sort(sorted)
+      Iterator((counts.toMap, sorted, bad))
+    }.collect()
     val ids = parts.flatMap(_._2)
     java.util.Arrays.sort(ids) // merges the partitions' sorted runs
     val dup = ids.indices.drop(1).find(i => ids(i) == ids(i - 1)).map(i => s"duplicate id ${ids(i)}")

@@ -2,9 +2,10 @@ package repro.spatialjoin
 
 import scala.collection.mutable.ListBuffer
 import scala.math.Ordering.Double.TotalOrdering
+import scala.reflect.ClassTag
 
-import org.apache.spark.sql.{DataFrame, Encoder, Encoders}
-import org.apache.spark.sql.functions._
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 
 /** The searched radius rounds of a kNN self-join: each round's cells
   * ([[RangeJoin.cells]] at its radius) with the ids still open before it
@@ -12,18 +13,19 @@ import org.apache.spark.sql.functions._
   */
 private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[Set[Long]])]) {
 
-  /** The rows `f` gives, encoded by `enc`, for every probe with its k
-    * nearest neighbours (and their distance) in (dist, id) order and `dk`,
-    * the last one's distance.
+  /** What `f` gives for every probe with its k nearest neighbours (and
+    * their distance) in (dist, id) order and `dk`, the last one's distance:
+    * the union of every round's reduce, which reads the round's shuffle
+    * output that its open-id collect left.
     * A probe is finalized in the first round where it has ≥ k neighbours
     * within the radius, and the last round finalizes every probe still
     * open: its radius exceeds the extent, or no probe stays open after it.
     */
-  def reduce[A](enc: Encoder[A])(f: (Copy, Seq[(Copy, Double)], Double) => IterableOnce[A]): DataFrame = {
+  def reduce[A: ClassTag](f: (Copy, Seq[(Copy, Double)], Double) => IterableOnce[A]): RDD[A] = {
     val k = kEff
-    rounds.zipWithIndex.map { case ((cells, open), i) =>
+    val reduced = rounds.zipWithIndex.map { case ((cells, open), i) =>
       val last = i == rounds.size - 1
-      RangeJoin.reduce(cells, enc) { (a, bs) =>
+      RangeJoin.reduce(cells) { (a, bs) =>
         lazy val nbs = bs.toSeq
         if (!open.forall(_(a.id)) || nbs.size < k && !last) Nil
         else {
@@ -31,23 +33,26 @@ private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[
           f(a, top, top.lastOption.fold(0.0)(_._2))
         }
       }
-    }.reduce(_ unionByName _)
+    }
+    reduced.head.sparkContext.union(reduced)
   }
 }
 
 /** k-nearest-neighbor self-join, built on [[RangeJoin]]'s loop with a
   * growing search radius.
   *
-  * The input sets the radii. One aggregate job reads the record count n and
-  * the extent diagonal. The last radius lies just above the diagonal, so
-  * every pair is inside it and that round is exact and total. The first is
+  * The input sets the radii. One job, no shuffle, reads the record count n
+  * and the extent diagonal from the input's rows. The last radius lies just
+  * above the diagonal, so every pair is inside it and that round is exact
+  * and total. The first is
   * the diagonal × √(k/n), which holds about 2πk points of a uniform input;
   * the radius doubles from there, so there are at most ½·log₂(n/k) + 2
   * rounds.
   *
   * Each round is two reducers of the range join's loop over the grid of its
-  * radius r, run only for the probes still open. A probe with ≥ k
-  * neighbours within r is finalized, since its true kth-nearest distance is
+  * radius r, run only for the probes still open, on the round's one shuffle
+  * (one `ShuffledRDD`), so the second reads the map output the first left.
+  * A probe with ≥ k neighbours within r is finalized, since its true kth-nearest distance is
   * then < r and those neighbours hold its true kNN. One reducer emits the ids
   * still open, which the driver collects; the set is captured in the next
   * round's closures, so every round's plan reads only the input and nothing
@@ -69,12 +74,15 @@ object KnnJoin {
   private[repro] def rounds(points: DataFrame, k: Int): KnnRounds = {
     require(k >= 1, s"k must be >= 1, got $k")
 
-    val extent = points.agg(count(lit(1)),
-      coalesce(hypot(max("x") - min("x"), max("y") - min("y")), lit(0.0))).head()
-    val n = extent.getLong(0)
+    val rows = RangeJoin.rows(points)
+    // The record count and the extent: (n, min x, max x, min y, max y).
+    val (n, x0, x1, y0, y1) = rows.map(r => (1L, r.getDouble(1), r.getDouble(1), r.getDouble(2), r.getDouble(2)))
+      .fold((0L, Double.PositiveInfinity, Double.NegativeInfinity, Double.PositiveInfinity, Double.NegativeInfinity)) {
+        (a, b) => (a._1 + b._1, math.min(a._2, b._2), math.max(a._3, b._3), math.min(a._4, b._4), math.max(a._5, b._5))
+      }
     // A point can have at most n-1 neighbors; clamp like real kNN systems do.
     val kEff = math.min(k.toLong, math.max(0L, n - 1)).toInt
-    val diag = extent.getDouble(1)
+    val diag = if (n == 0) 0.0 else math.hypot(x1 - x0, y1 - y0)
     // The margin absorbs rounding in the join's distances; a zero extent
     // (all points co-located) takes any positive radius.
     val last = if (diag > 0) diag * (1 + 1e-9) else 1.0
@@ -84,12 +92,12 @@ object KnnJoin {
     val rounds = ListBuffer.empty[(Cells, Option[Set[Long]])]
     var open: Option[Set[Long]] = None // None: every point
     for (r <- radii if open.forall(_.nonEmpty)) {
-      val cells = RangeJoin.cells(points, r)
+      val cells = RangeJoin.cells(rows, r)
       val before = open // the closures capture this round's set, not the var
       rounds += cells -> before
-      if (r < last) open = Some(RangeJoin.reduce(cells, Encoders.scalaLong)((a, bs) =>
+      if (r < last) open = Some(RangeJoin.reduce(cells)((a, bs) =>
         if (before.forall(_(a.id)) && bs.take(kEff).size < kEff) Some(a.id) else None)
-        .collect().map(_.getLong(0)).toSet)
+        .collect().toSet)
     }
     KnnRounds(kEff, rounds.toSeq)
   }

@@ -1,7 +1,13 @@
 package repro.spatialjoin
 
-import org.apache.spark.sql.{Column, DataFrame, Encoder, Encoders, Row}
-import org.apache.spark.sql.functions._
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
+import scala.reflect.ClassTag
+
+import org.apache.spark.rdd.{RDD, ShuffledRDD}
+import org.apache.spark.sql.{DataFrame, Encoders}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.types.{DoubleType, LongType, StringType}
 
 /** A point's copy in a grid cell; the copy in its home cell is its `probe`. */
 final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Boolean)
@@ -9,10 +15,8 @@ final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Bool
 /** A pair of the join: `r2` lies within the distance of probe `r1`. */
 final case class Pair(r1: Long, r2: Long, v1: String, v2: String, dist: Double)
 
-/** Copies in runs of equal cell (`frame`: `cx, cy` and the [[Copy]] fields,
-  * sorted by `cx, cy, id` within each partition) and the join's distance test.
-  */
-final case class Cells(frame: DataFrame, near: Double => Boolean)
+/** A join's copies, shuffled by grid cell `(cx, cy)`, and its distance test. */
+final case class Cells(copies: ShuffledRDD[(Long, Long), Copy, Copy], near: Double => Boolean)
 
 /** Grid-binned spatial distance self-join.
   *
@@ -35,17 +39,23 @@ final case class Cells(frame: DataFrame, near: Double => Boolean)
   * lies in the span of `b`'s copies: exactly one copy of `b` meets the probe
   * of `a`.
   *
-  * The copies are read with one map task per core (`coalesce`, which does
-  * nothing on an input with that many partitions or fewer). One exchange, one
-  * partition per core, hash-partitions them by cell; a sort within each
-  * partition by cell and id lays every cell's copies out as one run, and one
+  * The join is one RDD shuffle. Its map tasks, at most one per core, read
+  * the input's internal rows ([[rows]]) and make the copies; the
+  * [[CopySerializer]] writes each as a fixed-layout record
+  * `(cx, cy, id, x, y, value, probe)`, and the [[CellPartitioner]] sends it
+  * to its cell's partition, one partition per core of the job. Each reduce
+  * task decodes its partition into primitive columns and sorts it in memory
+  * by `(cx, cy, id)`, which lays every cell's copies out as one run, and one
   * loop per run ([[scan]]) pairs its probes with all its copies within exact
-  * Euclidean distance `d`. The public joins emit the loop's pairs as rows;
-  * `DistanceMatrix.neighbours` and each radius round of [[KnnJoin]] reduce
-  * them inside the loop instead.
+  * Euclidean distance `d`. The sort does not spill: a reduce task holds its
+  * whole partition, 45 bytes of columns per copy and 32 more while sorting,
+  * plus one string per distinct value. The public joins emit the loop's
+  * pairs as rows; `DistanceMatrix.neighbours` and each radius round of
+  * [[KnnJoin]] reduce them inside the loop instead.
   *
-  * Input contract ("points" frame): columns `id: long`, `x: double`,
-  * `y: double` (planar meters), `value: string` (nullable), unique ids.
+  * Input contract ("points" frame): it starts with the columns `id: long`,
+  * `x: double`, `y: double` (planar meters) and `value: string` (nullable),
+  * in that order, and its ids are unique.
   * Output columns: `r1, r2, v1, v2, dist` with `r1 != r2` and `dist < d`;
   * both orientations of every pair are emitted, matching the paper's
   * DistanceMatrix (Fig. 3c).
@@ -56,7 +66,7 @@ object RangeJoin {
     * `d`. Null-valued records participate on both sides (the error detector
     * and candidate generator decide how to treat null values).
     */
-  def pairs(points: DataFrame, d: Double): DataFrame = emit(cells(points, d))
+  def pairs(points: DataFrame, d: Double): DataFrame = emit(points, cells(points, d))
 
   /** Exact-location self-join: pairs of distinct records at identical
     * coordinates. This is the degenerate "d → 0" join that classic
@@ -64,25 +74,67 @@ object RangeJoin {
     * they equi-join on (Latitude, Longitude). Output matches [[pairs]] with
     * `dist` 0.
     */
-  def exactPairs(points: DataFrame): DataFrame = emit(locations(points))
+  def exactPairs(points: DataFrame): DataFrame = emit(points, locations(points))
 
-  /** The copies of the range join, grouped by grid cell of side 2d. */
-  private[repro] def cells(points: DataFrame, d: Double): Cells = {
-    require(d > 0, s"range distance must be positive, got $d")
-    val side = 2 * d
-    def cell(c: Column): Column = floor(c / side)
-    def span(c: Column): Column = explode(sequence(cell(c - d), cell(c + d)))
-    val spread = perCore(points).withColumn("cx", span(col("x"))).withColumn("cy", span(col("y")))
-    group(copies(spread, col("cx"), col("cy"), col("cx") === cell(col("x")) && col("cy") === cell(col("y"))),
-          _ < d)
+  /** The columns a points frame starts with. */
+  private val Contract = Seq("id" -> LongType, "x" -> DoubleType, "y" -> DoubleType, "value" -> StringType)
+
+  /** The rows of a points frame as Catalyst's internal rows, from the frame's
+    * own physical plan (which Spark plans once per frame, so no projection
+    * or row decoder is planned per call), read with at most one task per
+    * core of the job (`coalesce`, which does nothing on an input with that
+    * many partitions or fewer). The frame must start with the contract's
+    * columns `id: long, x: double, y: double, value: string`, in that order,
+    * which is checked on the driver.
+    */
+  private[repro] def rows(points: DataFrame): RDD[InternalRow] = {
+    val schema = points.schema
+    for ((name, t) <- Contract; f <- schema.find(_.name == name))
+      require(f.dataType == t, s"points: $name must be a ${t.typeName} column, got ${f.dataType}")
+    require(schema.take(Contract.size).map(_.name) == Contract.map(_._1),
+            s"points: columns must start with id, x, y, value, got ${schema.fieldNames.mkString(", ")}")
+    points.queryExecution.toRdd.coalesce(points.sparkSession.sparkContext.defaultParallelism)
   }
 
-  /** The copies of the exact-location join: a group-by on the location,
-    * whose cell key is the coordinates' bit patterns (a key on the doubles
-    * themselves would be normalized by Spark and re-shuffled downstream).
+  /** The copies of the range join, grouped by grid cell of side 2d. */
+  private[repro] def cells(points: DataFrame, d: Double): Cells = cells(rows(points), d)
+
+  /** The copies of the range join over `rows` (as [[rows]] gives them). */
+  private[repro] def cells(rows: RDD[InternalRow], d: Double): Cells = {
+    require(d > 0, s"range distance must be positive, got $d")
+    val side = 2 * d
+    def cell(c: Double): Long = math.floor(c / side).toLong
+    group(rows, _ < d) { (id, x, y, value) =>
+      val hx = cell(x)
+      val hy = cell(y)
+      for (cx <- cell(x - d) to cell(x + d); cy <- cell(y - d) to cell(y + d))
+        yield (cx, cy) -> Copy(id, x, y, value, cx == hx && cy == hy)
+    }
+  }
+
+  /** The copies of the exact-location join: one per point, keyed by the
+    * coordinates' bit patterns (−0.0 folded into 0.0), so a cell is a
+    * location.
     */
-  private[repro] def locations(points: DataFrame): Cells =
-    group(copies(perCore(points), bits(col("x")), bits(col("y")), lit(true)), _ == 0.0)
+  private[repro] def locations(points: DataFrame): Cells = {
+    def bits(c: Double): Long = java.lang.Double.doubleToLongBits(c + 0.0)
+    group(rows(points), _ == 0.0)((id, x, y, value) => Some((bits(x), bits(y)) -> Copy(id, x, y, value, probe = true)))
+  }
+
+  /** The copies of each row's `id, x, y, value`, by `copies`, shuffled. */
+  private def group(rows: RDD[InternalRow], near: Double => Boolean)
+                   (copies: (Long, Double, Double, String) => IterableOnce[((Long, Long), Copy)]): Cells =
+    shuffle(rows.flatMap(r =>
+      copies(r.getLong(0), r.getDouble(1), r.getDouble(2), if (r.isNullAt(3)) null else r.getUTF8String(3).toString)),
+      near)
+
+  /** The join's one shuffle: `copies`, keyed by cell, into one partition per
+    * core of the job (`defaultParallelism`).
+    */
+  private[repro] def shuffle(copies: RDD[((Long, Long), Copy)], near: Double => Boolean): Cells = {
+    val byCell = new ShuffledRDD[(Long, Long), Copy, Copy](copies, new CellPartitioner(copies.sparkContext.defaultParallelism))
+    Cells(byCell.setSerializer(CopySerializer), near)
+  }
 
   /** The join loop of one cell: `f` of each probe, in id order, with
     * the cell's copies (and their distance) that pass `near`, in id order.
@@ -97,55 +149,88 @@ object RangeJoin {
         .filter { case (_, dist) => near(dist) })
     }
 
-  /** The rows `f` gives for every probe of `cells`, by [[scan]] in each
-    * cell, encoded by `enc` (which the caller builds once, not per call).
-    */
-  private[repro] def reduce[A](cells: Cells, enc: Encoder[A])
-                              (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): DataFrame = {
+  /** What `f` gives for every probe of `cells`, by [[scan]] in each cell. */
+  private[repro] def reduce[A: ClassTag](cells: Cells)(f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): RDD[A] = {
     val near = cells.near
-    cells.frame.mapPartitions(rows => runs(rows).flatMap(scan(_, near)(f)))(enc).toDF()
+    cells.copies.mapPartitions(copies => runs(copies).flatMap(scan(_, near)(f)))
   }
 
-  /** The runs of equal cell key in a partition of sorted copies. */
-  private def runs(rows: Iterator[Row]): Iterator[Seq[Copy]] = new Iterator[Seq[Copy]] {
-    private val it = rows.buffered
-    def hasNext: Boolean = it.hasNext
-    def next(): Seq[Copy] = {
-      val (cx, cy) = (it.head.getLong(0), it.head.getLong(1))
-      val run = Vector.newBuilder[Copy]
-      while (it.hasNext && it.head.getLong(0) == cx && it.head.getLong(1) == cy) {
-        val r = it.next()
-        run += Copy(r.getLong(2), r.getDouble(3), r.getDouble(4), r.getString(5), r.getBoolean(6))
+  /** The runs of equal cell in one partition of copies, each in id order.
+    * The partition is decoded into primitive columns and sorted in memory by
+    * `(cx, cy, id)`; each run's [[Copy]]s are rebuilt from the columns when
+    * the loop reaches it. Equal values share one string, so the partition
+    * holds one object per distinct value, not per copy.
+    */
+  private def runs(copies: Iterator[((Long, Long), Copy)]): Iterator[Seq[Copy]] = {
+    val cxs, cys, ids = new mutable.ArrayBuilder.ofLong
+    val xs, ys = new mutable.ArrayBuilder.ofDouble
+    val values = new mutable.ArrayBuilder.ofRef[String]
+    val probes = new mutable.ArrayBuilder.ofBoolean
+    val distinct = mutable.HashMap.empty[String, String]
+    copies.foreach { case (cell, c) =>
+      cxs += cell._1; cys += cell._2; ids += c.id; xs += c.x; ys += c.y; probes += c.probe
+      values += (if (c.value == null) null else distinct.getOrElseUpdate(c.value, c.value))
+    }
+    val (x, y, value, probe) = (xs.result(), ys.result(), values.result(), probes.result())
+    val sorted = Keys.sorted(cxs.result(), cys.result(), ids.result())
+    Iterator.unfold(0) { s =>
+      Option.when(s < sorted.at.length) {
+        var e = s + 1
+        while (e < sorted.at.length && sorted.cx(e) == sorted.cx(s) && sorted.cy(e) == sorted.cy(s)) e += 1
+        (ArraySeq.tabulate(e - s) { k =>
+          val i = sorted.at(s + k)
+          Copy(sorted.id(s + k), x(i), y(i), value(i), probe(i))
+        }, e)
       }
-      run.result()
     }
   }
 
-  /** `points` read with at most one map task per core of the job. */
-  private def perCore(points: DataFrame): DataFrame =
-    points.coalesce(points.sparkSession.sparkContext.defaultParallelism)
-
-  /** IEEE bits of a coordinate, with −0.0 folded into 0.0. */
-  private val bits = udf((v: Double) => java.lang.Double.doubleToLongBits(v + 0.0))
-
-  /** Each point's [[Copy]] in cell `cx, cy`. */
-  private def copies(points: DataFrame, cx: Column, cy: Column, probe: Column): DataFrame =
-    points.select(cx.as("cx"), cy.as("cy"), col("id"), col("x"), col("y"), col("value"), probe.as("probe"))
-
-  /** The join's one exchange: the copies hash-partitioned by cell into one
-    * partition per core of the job (`defaultParallelism`), then sorted by
-    * cell and id inside each partition, so every cell's copies form one run
-    * in an order fixed by the input alone. The sort spills to disk, and
-    * nothing is aggregated.
+  /** Sort keys `(cx, cy, id)` of a partition's copies and, at each position,
+    * the index of the copy they came from.
     */
-  private def group(copies: DataFrame, near: Double => Boolean): Cells =
-    Cells(copies.repartition(copies.sparkSession.sparkContext.defaultParallelism, col("cx"), col("cy"))
-            .sortWithinPartitions("cx", "cy", "id"),
-          near)
+  private final class Keys(val cx: Array[Long], val cy: Array[Long], val id: Array[Long], val at: Array[Int]) {
+    def before(i: Int, j: Int): Boolean =
+      cx(i) < cx(j) || cx(i) == cx(j) && (cy(i) < cy(j) || cy(i) == cy(j) && id(i) < id(j))
+  }
+
+  private object Keys {
+
+    /** The keys in `(cx, cy, id)` order (they are unique: ids are, and a point
+      * has one copy per cell). A bottom-up merge sort that moves the keys
+      * with their index, so that every pass reads and writes in sequence; it
+      * takes the given arrays over and allocates one more set.
+      */
+    def sorted(cx: Array[Long], cy: Array[Long], id: Array[Long]): Keys = {
+      val n = cx.length
+      var a = new Keys(cx, cy, id, Array.range(0, n))
+      var b = new Keys(new Array(n), new Array(n), new Array(n), new Array(n))
+      var w = 1
+      while (w < n) {
+        var lo = 0
+        while (lo < n) {
+          val mid = math.min(lo + w, n)
+          val hi = math.min(lo + 2 * w, n)
+          var i = lo
+          var j = mid
+          var o = lo
+          while (o < hi) {
+            val s = if (j == hi || i < mid && a.before(i, j)) { i += 1; i - 1 } else { j += 1; j - 1 }
+            b.cx(o) = a.cx(s); b.cy(o) = a.cy(s); b.id(o) = a.id(s); b.at(o) = a.at(s)
+            o += 1
+          }
+          lo = hi
+        }
+        val t = a; a = b; b = t
+        w *= 2
+      }
+      a
+    }
+  }
 
   private val pairEncoder = Encoders.product[Pair]
 
   /** The pair emitter: every pair [[scan]] finds, as a row. */
-  private def emit(cells: Cells): DataFrame =
-    reduce(cells, pairEncoder)((a, bs) => bs.map { case (b, dist) => Pair(a.id, b.id, a.value, b.value, dist) })
+  private def emit(points: DataFrame, cells: Cells): DataFrame =
+    points.sparkSession.createDataset(reduce(cells)((a, bs) =>
+      bs.map { case (b, dist) => Pair(a.id, b.id, a.value, b.value, dist) }))(pairEncoder).toDF()
 }

@@ -8,8 +8,8 @@ import repro.{SparkSpec, TestPoints}
 import repro.cleaning.HoloCleanLike
 
 /** The points contract, checked by the value-statistics pass every `clean`
-  * call makes: a non-null `id`, finite `x` and `y`, a `string` value, and no
-  * id given twice.
+  * call makes: the columns `id: long, x: double, y: double, value: string`
+  * first, a non-null `id`, finite `x` and `y`, and no id given twice.
   */
 class InputContractSpec extends SparkSpec {
 
@@ -47,6 +47,14 @@ class InputContractSpec extends SparkSpec {
     val msg = rejects(pts)
     assert(msg.contains("value must be a string column"), msg)
     assert(msg.contains("IntegerType"), msg)
+  }
+
+  test("a frame that does not start with the contract's columns and types is rejected on the driver") {
+    val pts = TestPoints.df(spark, Seq((1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "b")))
+    val reordered = rejects(pts.select("x", "id", "y", "value"))
+    assert(reordered.contains("columns must start with id, x, y, value"), reordered)
+    val intIds = rejects(pts.withColumn("id", col("id").cast("int")))
+    assert(intIds.contains("id must be a long column, got IntegerType"), intIds)
   }
 
   test("a duplicated id is rejected, naming it") {

@@ -5,13 +5,14 @@ import java.util.concurrent.atomic.AtomicLong
 
 import scala.jdk.CollectionConverters._
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.expressions.Attribute
-import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
+import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.exchange.Exchange
 import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.execution.window.WindowExec
 import org.scalatest.concurrent.Eventually
@@ -19,12 +20,13 @@ import org.scalatest.time.{Seconds, Span}
 
 import repro.{SparkSpec, TestPoints}
 import repro.cleaning.HoloCleanLike
-import repro.spatialjoin.KnnJoin
+import repro.spatialjoin.{CellPartitioner, CopySerializer, KnnJoin}
 
 /** The physical shape of a `clean` call: the spatial join is its only
-  * shuffle, and the value statistics are one shuffle-free job. A rename or
-  * filter that breaks the co-partitioning of the join, the histogram and the
-  * per-cell pass shows here as an extra exchange.
+  * shuffle, an RDD shuffle of copies keyed by grid cell, and the value
+  * statistics are one shuffle-free job. The frames a call returns read the
+  * per-cell output directly: their SQL plans hold no exchange, aggregate,
+  * window or join.
   */
 class PlanShapeSpec extends SparkSpec with Eventually {
 
@@ -35,22 +37,36 @@ class PlanShapeSpec extends SparkSpec with Eventually {
     TestPoints.random(100, 2000, 5, seed = 92).map { case (id, x, y, v) =>
       (id + 1000L, math.floor(x / 400) * 400, math.floor(y / 400) * 400, v) })
 
-  /** Non-reused shuffle exchanges in the final adaptive plan of `df`, after
-    * collecting it.
+  /** The shuffle dependencies in the lineage of `df`'s RDD, each once. */
+  private def shuffles(df: DataFrame): Seq[ShuffleDependency[_, _, _]] = {
+    def walk(rdd: RDD[_]): Seq[ShuffleDependency[_, _, _]] = rdd.dependencies.flatMap {
+      case s: ShuffleDependency[_, _, _] => s +: walk(s.rdd)
+      case d                             => walk(d.rdd)
+    }
+    walk(df.queryExecution.toRdd).distinct
+  }
+
+  /** The exchanges, aggregates, windows and joins in the final executed plan
+    * of `df`, after collecting it.
     */
-  private def shuffles(df: DataFrame): Int = {
+  private def sqlOperators(df: DataFrame): Seq[SparkPlan] = {
     df.collect()
-    Plans.collect(df.queryExecution.executedPlan) { case s: ShuffleExchangeExec => s }.size
+    Plans.collect(df.queryExecution.executedPlan) {
+      case p @ (_: Exchange | _: BaseAggregateExec | _: WindowExec | _: BaseJoinExec) => p
+    }
   }
 
   test("a SpatialRange clean shuffles exactly once") {
-    for (w <- Seq(PowerWeight(2), PowerWeight(0)))
-      assert(shuffles(Sparcle.clean(pts, SparcleParams(SpatialRange(300, w))).repairs) == 1)
+    for (w <- Seq(PowerWeight(2), PowerWeight(0))) {
+      val repairs = Sparcle.clean(pts, SparcleParams(SpatialRange(300, w))).repairs
+      assert(shuffles(repairs).size == 1)
+      assert(sqlOperators(repairs).isEmpty)
+    }
   }
 
-  test("an ExactLocation clean and HoloCleanLike shuffle at most twice") {
-    assert(shuffles(Sparcle.clean(pts, SparcleParams(ExactLocation)).repairs) <= 2)
-    assert(shuffles(HoloCleanLike.clean(pts).repairs) <= 2)
+  test("an ExactLocation clean and HoloCleanLike shuffle exactly once") {
+    assert(shuffles(Sparcle.clean(pts, SparcleParams(ExactLocation)).repairs).size == 1)
+    assert(shuffles(HoloCleanLike.clean(pts).repairs).size == 1)
   }
 
   test("a range or exact clean's one exchange has one partition per core, keyed by cell, and no aggregate") {
@@ -60,30 +76,23 @@ class PlanShapeSpec extends SparkSpec with Eventually {
       "ExactLocation" -> Sparcle.clean(pts, SparcleParams(ExactLocation)),
       "HoloCleanLike" -> HoloCleanLike.clean(pts))
     for ((name, r) <- results) {
-      r.repairs.collect()
-      val plan = r.repairs.queryExecution.executedPlan
-      val shuffles = Plans.collect(plan) { case s: ShuffleExchangeExec => s.outputPartitioning }
-      shuffles match {
-        case Seq(HashPartitioning(Seq(cx: Attribute, cy: Attribute), n)) =>
-          assert((cx.name, cy.name, n) == ("cx", "cy", cores), name)
-        case other => fail(s"$name: expected one exchange by grid cell, got $other")
+      shuffles(r.repairs) match {
+        case Seq(s) =>
+          assert(s.partitioner == new CellPartitioner(cores), name)
+          assert(s.partitioner.numPartitions == cores, name)
+          assert(s.serializer eq CopySerializer, name)
+        case other => fail(s"$name: expected one shuffle by grid cell, got $other")
       }
-      assert(Plans.collect(plan) { case a: BaseAggregateExec => a }.isEmpty, s"$name aggregates")
+      assert(sqlOperators(r.repairs).isEmpty, s"$name plans SQL operators")
     }
   }
 
   test("a SpatialKnn clean has no window or join and shuffles only by grid cell") {
     val repairs = Sparcle.clean(pts, SparcleParams(SpatialKnn(5))).repairs
-    repairs.collect()
-    val plan = repairs.queryExecution.executedPlan
-    assert(Plans.collect(plan) { case w: WindowExec => w }.isEmpty)
-    assert(Plans.collect(plan) { case j: BaseJoinExec => j }.isEmpty)
-    val shuffles = Plans.collect(plan) { case s: ShuffleExchangeExec => s.outputPartitioning }
-    assert(shuffles.nonEmpty)
-    shuffles.foreach {
-      case HashPartitioning(Seq(cx: Attribute, cy: Attribute), _) => assert((cx.name, cy.name) == ("cx", "cy"))
-      case p => fail(s"a shuffle not keyed by grid cell: $p")
-    }
+    assert(sqlOperators(repairs).isEmpty)
+    val deps = shuffles(repairs)
+    assert(deps.nonEmpty)
+    deps.foreach(s => assert(s.partitioner == new CellPartitioner(spark.sparkContext.defaultParallelism)))
   }
 
   /** The Spark jobs `body` starts, counted by job group, and the tasks each
@@ -131,6 +140,16 @@ class PlanShapeSpec extends SparkSpec with Eventually {
     assert(res.dm.columns.toSeq == Seq("r1", "r2", "v1", "v2", "dist", "w"))
   }
 
+  test("a SpatialKnn clean runs 4 jobs, and its round's collect and final reduce share one shuffle") {
+    assert(KnnJoin.rounds(pts, 5).rounds.size == 1)
+    val (jobs, tasks) = countsOf(Sparcle.clean(pts, SparcleParams(SpatialKnn(5))).repairs.collect())
+    // The statistics, the extent, the round's open-id collect and the final reduce.
+    assert(jobs == 4)
+    // Those jobs' stages, the shuffle's map stage once: the final reduce reads
+    // the map output the collect left.
+    assert(tasks.values.count(_ > 0) == 5, tasks)
+  }
+
   test("ValueStats.of runs one job and writes no shuffle bytes") {
     val sc = spark.sparkContext
     val group = "plan-shape-value-stats"
@@ -168,7 +187,7 @@ class PlanShapeSpec extends SparkSpec with Eventually {
     } finally sc.removeSparkListener(listener)
   }
 
-  test("on a 16-partition input, a clean runs 3 jobs and at most one task per core in every stage") {
+  test("on a 16-partition input, a clean runs 2 jobs and at most one task per core in every stage") {
     val cores = spark.sparkContext.defaultParallelism
     val wide = spark.createDataFrame(spark.sparkContext.parallelize(pts.collect().toSeq, 16), pts.schema)
     assert(wide.rdd.getNumPartitions == 16)
@@ -177,8 +196,8 @@ class PlanShapeSpec extends SparkSpec with Eventually {
       "HoloCleanLike" -> (() => HoloCleanLike.clean(wide)))
     for ((name, clean) <- cleans) {
       val (jobs, tasks) = countsOf(clean().repairs.collect())
-      assert(jobs == 3, name)
-      // The value statistics, the exchange's map stage and its reduce stage.
+      assert(jobs == 2, name)
+      // The value statistics, then the join's map stage and its reduce stage.
       assert(tasks.values.count(_ > 0) == 3, s"$name: $tasks")
       assert(tasks.values.forall(_ <= cores), s"$name: $tasks")
     }

@@ -1,17 +1,13 @@
 package repro.spatialjoin
 
-import org.apache.spark.sql.Encoders
-
 import repro.{SparkSpec, TestPoints}
 
 class KnnJoinSpec extends SparkSpec {
 
   private def run(pts: Seq[TestPoints.Pt], k: Int) =
     KnnJoin.rounds(TestPoints.df(spark, pts), k)
-      .reduce(Encoders.product[(Long, Long, String, String, Double, Double)])((a, nbs, dk) =>
-        nbs.map { case (b, dist) => (a.id, b.id, a.value, b.value, dist, dk) })
-      .collect().map(r => (r.getLong(0), r.getLong(1), r.getString(2), r.getString(3),
-                           r.getDouble(4), r.getDouble(5)))
+      .reduce((a, nbs, dk) => nbs.map { case (b, dist) => (a.id, b.id, a.value, b.value, dist, dk) })
+      .collect()
 
   private def asSets(rows: Seq[(Long, Long, String, String, Double, Double)]) =
     rows.map { case (r1, r2, v1, v2, d, dk) =>

@@ -97,9 +97,8 @@ class RangeJoinSpec extends SparkSpec {
 
   /** Each point's copies in `RangeJoin.cells`: its cells and its probe cells. */
   private def copiesOf(pts: Seq[TestPoints.Pt], d: Double) =
-    RangeJoin.cells(TestPoints.df(spark, pts), d).frame.collect().groupBy(_.getLong(2)).map { case (id, cs) =>
-      def cells(rows: Seq[org.apache.spark.sql.Row]) = rows.map(c => (c.getLong(0), c.getLong(1)))
-      id -> (cells(cs.toSeq).toSet, cells(cs.toSeq.filter(_.getBoolean(6))))
+    RangeJoin.cells(TestPoints.df(spark, pts), d).copies.collect().toSeq.groupBy(_._2.id).map { case (id, cs) =>
+      id -> (cs.map(_._1).toSet, cs.filter(_._2.probe).map(_._1))
     }
 
   test("range join copies each point into the cells of side 2d that its span reaches, one of them its probe") {
