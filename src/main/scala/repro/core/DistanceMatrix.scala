@@ -28,10 +28,13 @@ object DistanceMatrix {
 
   /** The DistanceMatrix for `points` (contract: id, x, y, value) under
     * `constraint`: `r1, r2, v1, v2, dist, w`, where v1/v2 are the (possibly
-    * dirty, possibly null) values of the dependent attribute.
+    * dirty, possibly null) values of the dependent attribute. The points
+    * contract is checked first, as `clean` checks it ([[ValueStats.of]]).
     */
-  def build(points: DataFrame, constraint: SpatialConstraint): DataFrame =
+  def build(points: DataFrame, constraint: SpatialConstraint): DataFrame = {
+    ValueStats.of(points)
     of(points, neighbours(points, constraint))
+  }
 
   private val rowEncoder = Encoders.product[(Long, Long, String, String, Double, Double)]
 

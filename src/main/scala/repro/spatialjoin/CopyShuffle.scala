@@ -5,6 +5,7 @@ import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, Da
 import java.nio.ByteBuffer
 import java.nio.charset.StandardCharsets.UTF_8
 
+import scala.collection.mutable
 import scala.reflect.ClassTag
 
 import org.apache.spark.Partitioner
@@ -37,7 +38,10 @@ private[repro] final class CellPartitioner(partitions: Int) extends Partitioner 
   * `(cx, cy)` with a [[Copy]]. A record is written in a fixed layout: `cx`,
   * `cy` and `id` as longs, `x` and `y` as doubles, the value as its UTF-8
   * byte length (−1 for null) and bytes, and `probe` as one byte. Values are
-  * UTF-8 text, as Spark holds strings, so they read back unchanged.
+  * UTF-8 text, as Spark holds strings, so they read back unchanged. A
+  * deserialization stream reads equal values as one shared `String`, so a
+  * reduce task holds one string per distinct value of each map output it
+  * reads, not one per copy.
   *
   * Spark's shuffle writes a record as its key, then its value, and reads it
   * back the same way; a whole record (`writeObject`) is a `((cx, cy), copy)`
@@ -97,6 +101,7 @@ private[repro] object CopySerializer extends Serializer with Serializable {
 
     def deserializeStream(s: InputStream): DeserializationStream = new DeserializationStream {
       private val in = new DataInputStream(s)
+      private val distinct = mutable.HashMap.empty[String, String]
 
       override def readKey[T: ClassTag](): T = (in.readLong(), in.readLong()).asInstanceOf[T]
 
@@ -110,7 +115,8 @@ private[repro] object CopySerializer extends Serializer with Serializable {
           else {
             val b = new Array[Byte](n)
             in.readFully(b)
-            new String(b, UTF_8)
+            val v = new String(b, UTF_8)
+            distinct.getOrElseUpdate(v, v)
           }
         Copy(id, x, y, value, in.readBoolean()).asInstanceOf[T]
       }

@@ -1,6 +1,5 @@
 package repro.spatialjoin
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
@@ -44,13 +43,14 @@ final case class Cells(copies: ShuffledRDD[(Long, Long), Copy, Copy], near: Doub
   * [[CopySerializer]] writes each as a fixed-layout record
   * `(cx, cy, id, x, y, value, probe)`, and the [[CellPartitioner]] sends it
   * to its cell's partition, one partition per core of the job. Each reduce
-  * task decodes its partition into primitive columns and sorts it in memory
-  * by `(cx, cy, id)`, which lays every cell's copies out as one run, and one
-  * loop per run ([[scan]]) pairs its probes with all its copies within exact
-  * Euclidean distance `d`. The sort does not spill: a reduce task holds its
-  * whole partition, 45 bytes of columns per copy and 32 more while sorting,
-  * plus one string per distinct value. The public joins emit the loop's
-  * pairs as rows; `DistanceMatrix.neighbours` and each radius round of
+  * task groups the copies it reads by cell in a hash map ([[runs]]) and
+  * takes the cells in `(cx, cy)` order, each cell's copies in id order as
+  * one run; one loop per run ([[scan]]) pairs its probes with all its copies
+  * within exact Euclidean distance `d`. The grouping does not spill: a
+  * reduce task holds its whole partition, about 55 bytes per copy (the
+  * `Copy` and its buffer slot) and 100 more per cell, plus one string per
+  * distinct value of each map output it reads. The public joins emit the
+  * loop's pairs as rows; `DistanceMatrix.neighbours` and each radius round of
   * [[KnnJoin]] reduce them inside the loop instead.
   *
   * Input contract ("points" frame): it starts with the columns `id: long`,
@@ -141,8 +141,8 @@ object RangeJoin {
     * A copy with the probe's id is not its neighbour. The distance is
     * Spark's `sqrt(pow(dx, 2) + pow(dy, 2))`, bit for bit.
     */
-  private def scan[A](ps: Seq[Copy], near: Double => Boolean)
-                     (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): Seq[A] =
+  private def scan[A](ps: collection.Seq[Copy], near: Double => Boolean)
+                     (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): collection.Seq[A] =
     ps.filter(_.probe).flatMap { a =>
       f(a, ps.iterator.filter(_.id != a.id)
         .map(b => (b, math.sqrt(StrictMath.pow(a.x - b.x, 2) + StrictMath.pow(a.y - b.y, 2))))
@@ -155,77 +155,23 @@ object RangeJoin {
     cells.copies.mapPartitions(copies => runs(copies).flatMap(scan(_, near)(f)))
   }
 
-  /** The runs of equal cell in one partition of copies, each in id order.
-    * The partition is decoded into primitive columns and sorted in memory by
-    * `(cx, cy, id)`; each run's [[Copy]]s are rebuilt from the columns when
-    * the loop reaches it. Equal values share one string, so the partition
-    * holds one object per distinct value, not per copy.
+  /** The runs of equal cell in one partition of copies, in `(cx, cy)` order,
+    * each in id order. Each copy the shuffle yields is kept as it is, in its
+    * cell's buffer, which starts with room for one copy: most cells of the
+    * exact-location join hold one.
     */
-  private def runs(copies: Iterator[((Long, Long), Copy)]): Iterator[Seq[Copy]] = {
-    val cxs, cys, ids = new mutable.ArrayBuilder.ofLong
-    val xs, ys = new mutable.ArrayBuilder.ofDouble
-    val values = new mutable.ArrayBuilder.ofRef[String]
-    val probes = new mutable.ArrayBuilder.ofBoolean
-    val distinct = mutable.HashMap.empty[String, String]
-    copies.foreach { case (cell, c) =>
-      cxs += cell._1; cys += cell._2; ids += c.id; xs += c.x; ys += c.y; probes += c.probe
-      values += (if (c.value == null) null else distinct.getOrElseUpdate(c.value, c.value))
-    }
-    val (x, y, value, probe) = (xs.result(), ys.result(), values.result(), probes.result())
-    val sorted = Keys.sorted(cxs.result(), cys.result(), ids.result())
-    Iterator.unfold(0) { s =>
-      Option.when(s < sorted.at.length) {
-        var e = s + 1
-        while (e < sorted.at.length && sorted.cx(e) == sorted.cx(s) && sorted.cy(e) == sorted.cy(s)) e += 1
-        (ArraySeq.tabulate(e - s) { k =>
-          val i = sorted.at(s + k)
-          Copy(sorted.id(s + k), x(i), y(i), value(i), probe(i))
-        }, e)
-      }
-    }
+  private def runs(copies: Iterator[((Long, Long), Copy)]): Iterator[collection.Seq[Copy]] = {
+    val byCell = mutable.HashMap.empty[(Long, Long), mutable.ArrayBuffer[Copy]]
+    copies.foreach { case (cell, c) => byCell.getOrElseUpdate(cell, new mutable.ArrayBuffer(1)) += c }
+    byCell.toArray.sorted(ByCell).iterator.map(_._2.sorted(ById))
   }
 
-  /** Sort keys `(cx, cy, id)` of a partition's copies and, at each position,
-    * the index of the copy they came from.
-    */
-  private final class Keys(val cx: Array[Long], val cy: Array[Long], val id: Array[Long], val at: Array[Int]) {
-    def before(i: Int, j: Int): Boolean =
-      cx(i) < cx(j) || cx(i) == cx(j) && (cy(i) < cy(j) || cy(i) == cy(j) && id(i) < id(j))
-  }
+  /** Cells by `(cx, cy)`, compared without boxing the coordinates. */
+  private val ByCell: Ordering[((Long, Long), Any)] = (a, b) =>
+    if (a._1._1 != b._1._1) java.lang.Long.compare(a._1._1, b._1._1) else java.lang.Long.compare(a._1._2, b._1._2)
 
-  private object Keys {
-
-    /** The keys in `(cx, cy, id)` order (they are unique: ids are, and a point
-      * has one copy per cell). A bottom-up merge sort that moves the keys
-      * with their index, so that every pass reads and writes in sequence; it
-      * takes the given arrays over and allocates one more set.
-      */
-    def sorted(cx: Array[Long], cy: Array[Long], id: Array[Long]): Keys = {
-      val n = cx.length
-      var a = new Keys(cx, cy, id, Array.range(0, n))
-      var b = new Keys(new Array(n), new Array(n), new Array(n), new Array(n))
-      var w = 1
-      while (w < n) {
-        var lo = 0
-        while (lo < n) {
-          val mid = math.min(lo + w, n)
-          val hi = math.min(lo + 2 * w, n)
-          var i = lo
-          var j = mid
-          var o = lo
-          while (o < hi) {
-            val s = if (j == hi || i < mid && a.before(i, j)) { i += 1; i - 1 } else { j += 1; j - 1 }
-            b.cx(o) = a.cx(s); b.cy(o) = a.cy(s); b.id(o) = a.id(s); b.at(o) = a.at(s)
-            o += 1
-          }
-          lo = hi
-        }
-        val t = a; a = b; b = t
-        w *= 2
-      }
-      a
-    }
-  }
+  /** Copies by id, which is unique within a cell. */
+  private val ById: Ordering[Copy] = (a, b) => java.lang.Long.compare(a.id, b.id)
 
   private val pairEncoder = Encoders.product[Pair]
 

@@ -7,9 +7,10 @@ import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestPoints}
 import repro.cleaning.HoloCleanLike
 
-/** The points contract, checked by the value-statistics pass every `clean`
-  * call makes: the columns `id: long, x: double, y: double, value: string`
-  * first, a non-null `id`, finite `x` and `y`, and no id given twice.
+/** The points contract, checked by the value-statistics pass that every
+  * `clean` call and `DistanceMatrix.build` make: the columns `id: long,
+  * x: double, y: double, value: string` first, a non-null `id`, finite `x`
+  * and `y`, and no id given twice.
   */
 class InputContractSpec extends SparkSpec {
 
@@ -22,6 +23,8 @@ class InputContractSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](Sparcle.clean(points, SparcleParams(SpatialRange(10))))
     val h = intercept[IllegalArgumentException](HoloCleanLike.clean(points))
     assert(h.getMessage == e.getMessage)
+    val b = intercept[IllegalArgumentException](DistanceMatrix.build(points, SpatialRange(10)))
+    assert(b.getMessage == e.getMessage)
     e.getMessage
   }
 

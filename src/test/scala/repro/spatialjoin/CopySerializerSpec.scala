@@ -35,6 +35,11 @@ class CopySerializerSpec extends SparkSpec {
     val back = ser.deserializeStream(new ByteArrayInputStream(bytes.toByteArray)).asKeyValueIterator
       .map { case (cell, copy) => (cell.asInstanceOf[(Long, Long)], copy.asInstanceOf[Copy]) }.toSeq
     assert(back.map(bits) == records.map(bits))
+    // Equal values read from one stream are one shared string; null stays null.
+    for ((v, copies) <- back.map(_._2).groupBy(_.value))
+      if (v == null) assert(copies.forall(_.value == null))
+      else assert(copies.forall(_.value eq copies.head.value), s"one string for ${v.take(20)}")
+    assert(back.count(_._2.value == null) == records.count(_._2.value == null))
   }
 
   test("a whole record round-trips through serialize and deserialize") {
@@ -51,11 +56,19 @@ class CopySerializerSpec extends SparkSpec {
     val ids = Seq(Long.MinValue, -7L, 0L, 5L, 9L, Long.MaxValue)
     val copies = for ((cell @ (cx, cy), i) <- cells.zipWithIndex; (id, j) <- ids.zipWithIndex if (i + j) % 5 != 0)
       yield cell -> Copy(id, 1.5, -2.5, s"$cx,$cy", probe = (i * j) % 3 != 1)
-    val shuffled = new scala.util.Random(3).shuffle(copies)
-    val seen = RangeJoin.reduce(RangeJoin.shuffle(spark.sparkContext.parallelize(shuffled, 6), _ == 0.0)) {
+    // A hotspot cell of several hundred copies, which the shuffle below
+    // spreads over all the map tasks.
+    val hot = (2L, 2L)
+    val hotspot = (Seq(Long.MinValue, Long.MaxValue) ++ (0 until 400).map(k => k * 7919L - 1000000L)).zipWithIndex
+      .map { case (id, k) => hot -> Copy(id, 1.5, -2.5, "2,2", probe = k % 3 != 1) }
+    val all = copies ++ hotspot
+    val shuffled = new scala.util.Random(3).shuffle(all)
+    val input = spark.sparkContext.parallelize(shuffled, 6)
+    assert(input.glom().collect().count(_.exists(_._1 == hot)) == 6, "the hotspot spans every map task")
+    val seen = RangeJoin.reduce(RangeJoin.shuffle(input, _ == 0.0)) {
       (a, bs) => Some((a.value, a.id, bs.map(_._1.id).toList))
     }.glom().collect()
-    assert(seen.map(_.length).sum == copies.count(_._2.probe))
+    assert(seen.map(_.length).sum == all.count(_._2.probe))
     def cellOf(v: String) = { val Array(cx, cy) = v.split(","); (cx.toLong, cy.toLong) }
     for (part <- seen) {
       val keys = part.toSeq.map { case (v, id, _) => (cellOf(v), id) }
@@ -63,7 +76,7 @@ class CopySerializerSpec extends SparkSpec {
     }
     for ((v, id, nbs) <- seen.flatten) {
       val cell = cellOf(v)
-      assert(nbs == copies.collect { case (c, b) if c == cell && b.id != id => b.id }.sorted, s"neighbours of $id")
+      assert(nbs == all.collect { case (c, b) if c == cell && b.id != id => b.id }.sorted, s"neighbours of $id")
     }
   }
 }
