@@ -1,19 +1,17 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
+import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
 import repro.eval.Tables
 
 /** Table 2 — the paper's worked example (Fig. 3's seven records): candidate
   * values, summed weights, probabilities, and normalized probabilities, as
-  * produced by the spatial candidate generator. Exact-value checks live in
+  * produced by the per-cell kernel. Exact-value checks live in
   * `repro.core.PaperExampleSpec`; this bench regenerates the printable table
   * and asserts its headline facts.
   */
-class Table2WorkedExampleBench extends SparkSpec {
+class Table2WorkedExampleBench extends AnyFunSuite {
 
-  private implicit lazy val ss: SparkSession = spark
   private lazy val rows = Tables.table2()
 
   test("print Table 2") {

@@ -21,11 +21,7 @@ object Table1Job {
 
 /** Table 2 — the paper's worked example (candidate generation state). */
 object Table2Job {
-  def main(args: Array[String]): Unit = {
-    implicit val spark: SparkSession = Jobs.session("sparcle-table2")
-    println(Tables.renderTable2(Tables.table2()))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = println(Tables.renderTable2(Tables.table2()))
 }
 
 /** Table 3 — dataset properties of the four stand-ins. */

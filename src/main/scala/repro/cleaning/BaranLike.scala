@@ -5,7 +5,7 @@ import scala.math.Ordering.Double.TotalOrdering
 import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 
-import repro.core.{DistanceMatrix, ExactLocation, Histogram}
+import repro.core.{DistanceMatrix, ExactLocation, Histogram, ValueStats}
 
 /** Baran aborts when its in-memory pairwise co-occurrence model exceeds the
   * configured budget — the scaled stand-in for the paper's "cannot finish due
@@ -69,14 +69,15 @@ object BaranLike {
 
   /** Clean one dependent attribute.
     *
-    * @param points points-contract frame `id, x, y, value` (the dirty data)
+    * @param points points-contract frame `id, x, y, value` (the dirty data),
+    *               checked as `Sparcle.clean` checks it ([[ValueStats.of]])
     * @param truth  `id, truthValue` — used ONLY to (a) drive the simulated
     *               Raha detector's noise and (b) answer the `nSamples`
     *               human-label requests, mirroring Baran's interactive loop
     * @return repairs frame `id, oldValue, newValue`
     */
   def clean(points: DataFrame, truth: DataFrame, params: BaranParams = BaranParams()): DataFrame = {
-    val n = points.count()
+    val n = ValueStats.of(points).total
 
     // ---- Model build + resource accounting (pairwise attribute models over
     // id, x, y, value: entries dominated by the near-unique spatial columns).

@@ -1,12 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** The paper's running example (Fig. 3, Table 2, Fig. 4): seven records from
   * a 1,000-record NYC dataset, a SpatialRange constraint with d = 1 km and
   * W = (1 − F/d)², the DistanceMatrix of Fig. 3c and the value-frequency
-  * table of Fig. 3b. Golden tests and the Table-2 bench replay Sparcle's
-  * modules over this fixture and compare against the paper's printed values.
+  * table of Fig. 3b. Each record's cell comes from the per-cell kernel
+  * [[Sparcle.decide]], with no Spark; Table 2 and the golden tests read it.
   */
 object PaperExample {
 
@@ -45,35 +43,14 @@ object PaperExample {
     Bronx -> 100L, Brooklyn -> 200L, Man -> 300L, Queens -> 300L, SI -> 100L,
   )
 
-  /** DistanceMatrix frame with weights computed by the constraint's W. */
-  def distanceMatrix(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    MatrixRows
-      .map { case (r1, r2, v1, v2, dist) => (r1, r2, v1, v2, dist, Weight.weight(dist, D)) }
-      .toDF("r1", "r2", "v1", "v2", "dist", "w")
-  }
-
-  /** The seven records as a points frame. Coordinates are placeholders (the
-    * fixture bypasses the spatial join and supplies the matrix directly).
-    */
-  def points(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    OrigValues.toSeq.sortBy(_._1)
-      .map { case (id, v) => (id, 0.0, 0.0, v) }
-      .toDF("id", "x", "y", "value")
-  }
-
   /** Fig. 3b as a [[ValueStats]] for Phase 2. */
   val Stats: ValueStats = ValueStats(ValueFreq.toMap, Total)
 
-  /** Run detector + candidate generator + formulators over the fixture. */
-  def run(spark: SparkSession,
-          params: CandGenParams = CandGenParams()): (DataFrame, CandidateResult, DataFrame) = {
-    val pts = points(spark)
-    val dm = distanceMatrix(spark)
-    val err = SpatialErrorDetector.erroneousCells(pts, dm)
-    val cand = SpatialCandidateGenerator.generate(pts, dm, err, params, stats = Some(Stats))
-    val scored = SpatialInputFormulator.allFormats(cand.candidates, dm)
-    (err, cand, scored)
+  /** Each record's cell: [[Sparcle.decide]] on the histogram of its Fig. 3c
+    * rows, weighted by W, with Fig. 3b's statistics.
+    */
+  val Cells: Map[Long, Cell] = OrigValues.map { case (id, v) =>
+    val hist = new Histogram(v, MatrixRows.collect { case (`id`, _, _, v2, dist) => (v2, Weight.weight(dist, D)) })
+    id -> Sparcle.decide(id, hist, Stats, CandGenParams(), Sparcle.DefaultMargin)
   }
 }

@@ -119,15 +119,15 @@ object Sparcle {
     val repairs = spark.createDataFrame(cells.flatMap { c =>
       val v = if (c.newValue != null) c.newValue else fill
       if (c.detected && v != null && v != c.v1) Some(Row(c.id, c.v1, v)) else None
-    }, repairSchema(fallback.isEmpty))
+    }, repairSchema)
     new SparcleResult(dm, flagged.select("id"), SpatialCandidateGenerator.candidatesOf(flagged),
                       SpatialCandidateGenerator.labelsOf(flagged), repairs)
   }
 
-  /** `id, oldValue, newValue`; `newValue` is null only where no fallback fills it. */
-  private def repairSchema(nullable: Boolean): StructType =
+  /** `id, oldValue, newValue`: a repair always has a value. */
+  private val repairSchema: StructType =
     StructType(Seq(StructField("id", LongType, nullable = false), StructField("oldValue", StringType),
-                   StructField("newValue", StringType, nullable)))
+                   StructField("newValue", StringType, nullable = false)))
 
   private val cellEncoder = Encoders.product[Cell]
 

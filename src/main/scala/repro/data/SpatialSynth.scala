@@ -31,17 +31,9 @@ final case class AttrSpec(name: String, map: RegionMap, errors: Int,
   *                 earlier record's location (the pool dup-located errors are
   *                 drawn from; must be large enough for every attr's
   *                 `errors × dupRatio`)
-  * @param hotspotFanout average number of duplicate copies per duplicated
-  *                 location. Real spatial data duplicates cluster on hotspots
-  *                 (busy intersections, common building addresses), so a
-  *                 duplicated location typically hosts several records — the
-  *                 majority-vote evidence that lets exact-equality cleaners
-  *                 repair duplicated errors with high precision (Table 1).
   */
 final case class DatasetSpec(name: String, extent: Extent, nRecords: Int,
-                             dupShare: Double, attrs: Seq[AttrSpec], seed: Long,
-                             hotspotFanout: Int = 4) {
-  require(hotspotFanout >= 1, s"fanout must be >= 1: $this")
+                             dupShare: Double, attrs: Seq[AttrSpec], seed: Long) {
   require(nRecords > 1, s"need records: $this")
   val nDup: Int = (nRecords * dupShare).toInt
   attrs.foreach { a =>
@@ -86,6 +78,14 @@ final case class SpatialDataset(
   */
 object SpatialSynth {
 
+  /** Average number of duplicate copies per duplicated location. Real
+    * spatial data duplicates cluster on hotspots (busy intersections, common
+    * building addresses), so a duplicated location typically hosts several
+    * records — the majority-vote evidence that lets exact-equality cleaners
+    * repair duplicated errors with high precision (Table 1).
+    */
+  val HotspotFanout: Int = 4
+
   def generate(spec: DatasetSpec)(implicit spark: SparkSession): SpatialDataset = {
     val rng = new Random(spec.seed)
     val n = spec.nRecords
@@ -99,7 +99,7 @@ object SpatialSynth {
     while (i < nUnique) {
       val (x, y) = spec.extent.sample(rng); xs(i) = x; ys(i) = y; i += 1
     }
-    val nHot = math.max(1, nDup / spec.hotspotFanout)
+    val nHot = math.max(1, nDup / HotspotFanout)
     val hotspots = rng.shuffle((0 until nUnique).toVector).take(math.min(nHot, nUnique))
     while (i < n) {
       val src = hotspots(rng.nextInt(hotspots.size))

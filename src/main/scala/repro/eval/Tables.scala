@@ -53,13 +53,10 @@ object Tables {
   // ------------------------------------------------------------------
   final case class Table2Row(cell: Long, value: String, sumW: Double, prob: Double, normProb: Double)
 
-  def table2()(implicit spark: SparkSession): Seq[Table2Row] = {
-    val (_, cand, _) = PaperExample.run(spark)
-    cand.candidates.collect().map { r =>
-      Table2Row(r.getAs[Long]("id"), r.getAs[String]("value"),
-        r.getAs[Double]("sumW"), r.getAs[Double]("prob"), r.getAs[Double]("normProb"))
-    }.sortBy(r => (r.cell, r.value)).toIndexedSeq
-  }
+  /** The detected cells' candidates, from the kernel's [[PaperExample.Cells]]. */
+  def table2(): Seq[Table2Row] =
+    PaperExample.Cells.values.filter(_.detected).flatMap(c => c.candidates.map(k =>
+      Table2Row(c.id, k.value, k.sumW, k.prob, k.normProb))).toIndexedSeq.sortBy(r => (r.cell, r.value))
 
   def renderTable2(rows: Seq[Table2Row]): String =
     TableFmt.render(

@@ -3,41 +3,15 @@ package repro.geo
 /** Planar geometry helpers shared by the spatial-join substrate and the
   * synthetic data generators.
   *
-  * All cleaning-pipeline computations run on projected planar coordinates in
-  * meters. Latitude/longitude inputs are projected with an equirectangular
-  * projection anchored at the extent center, which is accurate to well under
-  * 0.5% at city scale (< 50 km) — the paper's distance function F is
-  * Euclidean, so this preserves its behaviour.
+  * All cleaning-pipeline computations run on planar coordinates in meters,
+  * and the dataset stand-ins are generated in them directly: the paper's
+  * distance function F is Euclidean.
   */
 object Geo {
-
-  /** Mean Earth radius in meters (spherical model). */
-  val EarthRadiusM: Double = 6371008.8
 
   /** Euclidean distance between two planar points (meters). */
   def dist(x1: Double, y1: Double, x2: Double, y2: Double): Double =
     math.hypot(x1 - x2, y1 - y2)
-
-  /** Equirectangular projection of (lat, lon) degrees into meters relative to
-    * an anchor latitude/longitude. x grows east, y grows north.
-    */
-  def project(lat: Double, lon: Double, anchorLat: Double, anchorLon: Double): (Double, Double) = {
-    val latR = math.toRadians(lat)
-    val lonR = math.toRadians(lon)
-    val aLatR = math.toRadians(anchorLat)
-    val aLonR = math.toRadians(anchorLon)
-    val x = EarthRadiusM * (lonR - aLonR) * math.cos(aLatR)
-    val y = EarthRadiusM * (latR - aLatR)
-    (x, y)
-  }
-
-  /** Inverse of [[project]]: planar meters back to (lat, lon) degrees. */
-  def unproject(x: Double, y: Double, anchorLat: Double, anchorLon: Double): (Double, Double) = {
-    val aLatR = math.toRadians(anchorLat)
-    val lat = math.toDegrees(y / EarthRadiusM + aLatR)
-    val lon = math.toDegrees(x / (EarthRadiusM * math.cos(aLatR)) + math.toRadians(anchorLon))
-    (lat, lon)
-  }
 }
 
 /** Axis-aligned planar extent in meters, [x0, x1) × [y0, y1). */
@@ -47,7 +21,6 @@ final case class Extent(x0: Double, y0: Double, x1: Double, y1: Double) {
   def width: Double  = x1 - x0
   def height: Double = y1 - y0
   def area: Double   = width * height
-  def diagonal: Double = math.hypot(width, height)
   def centerX: Double = (x0 + x1) / 2
   def centerY: Double = (y0 + y1) / 2
 

@@ -49,30 +49,6 @@ final case class VoronoiRegionMap(sites: IndexedSeq[(Double, Double, String)]) e
     }
     sites(best)._3
   }
-
-  /** Label of the second-nearest site — used to inject realistic
-    * "neighboring region" errors near boundaries.
-    */
-  def secondRegionOf(x: Double, y: Double): String = {
-    if (sites.length < 2) return sites(0)._3
-    var best = 0; var bestD = Double.MaxValue
-    var second = 1; var secondD = Double.MaxValue
-    var i = 0
-    while (i < sites.length) {
-      val s = sites(i)
-      val dx = s._1 - x
-      val dy = s._2 - y
-      val d = dx * dx + dy * dy
-      if (d < bestD) {
-        second = best; secondD = bestD
-        best = i; bestD = d
-      } else if (d < secondD) {
-        second = i; secondD = d
-      }
-      i += 1
-    }
-    sites(second)._3
-  }
 }
 
 /** A dominant central disk with label `dominant`, surrounded by a Voronoi

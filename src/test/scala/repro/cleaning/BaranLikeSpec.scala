@@ -1,7 +1,5 @@
 package repro.cleaning
 
-import org.apache.spark.sql.functions._
-
 import repro.{Oracle, SparkSpec, TestPoints}
 import repro.data.{AttrSpec, DatasetSpec, SpatialSynth}
 import repro.eval.Metrics

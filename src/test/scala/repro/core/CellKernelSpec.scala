@@ -3,17 +3,14 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 /** The per-cell kernel `Sparcle.decide` without Spark, on the paper's worked
-  * example (Fig. 3, Table 2, Fig. 4): each record's histogram is built from
-  * its DistanceMatrix rows in Fig. 3c and decided with Fig. 3b's statistics.
+  * example (Fig. 3, Table 2, Fig. 4): `PaperExample.Cells` decides each
+  * record's histogram of its Fig. 3c rows with Fig. 3b's statistics.
   */
 class CellKernelSpec extends AnyFunSuite {
 
   import PaperExample._
 
-  private val cells: Map[Long, Cell] = OrigValues.map { case (id, v) =>
-    val hist = new Histogram(v, MatrixRows.collect { case (`id`, _, _, v2, dist) => (v2, Weight.weight(dist, D)) })
-    id -> Sparcle.decide(id, hist, Stats, CandGenParams(), Sparcle.DefaultMargin)
-  }
+  private val cells: Map[Long, Cell] = Cells
 
   private def scores(id: Long): Map[String, Candidate] = cells(id).candidates.map(c => c.value -> c).toMap
 

@@ -49,7 +49,7 @@ class ConstraintsSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("larger n weighs far pairs less and near pairs the same at 0") {
-    val near = 100.0; val far = 900.0; val d = 1000.0
+    val far = 900.0; val d = 1000.0
     assert(PowerWeight(4).weight(far, d) < PowerWeight(2).weight(far, d))
     assert(PowerWeight(4).weight(0, d) == PowerWeight(2).weight(0, d))
   }

@@ -5,12 +5,13 @@ import org.apache.spark.sql.functions.{col, udf}
 import org.apache.spark.sql.types._
 
 import repro.{SparkSpec, TestPoints}
-import repro.cleaning.HoloCleanLike
+import repro.cleaning.{BaranLike, HoloCleanLike}
 
 /** The points contract, checked by the value-statistics pass that every
-  * `clean` call and `DistanceMatrix.build` make: the columns `id: long,
-  * x: double, y: double, value: string` first, a non-null `id`, finite `x`
-  * and `y`, and no id given twice.
+  * `clean` call (Sparcle, HoloCleanLike and BaranLike) and
+  * `DistanceMatrix.build` make: the columns `id: long, x: double,
+  * y: double, value: string` first, a non-null `id`, finite `x` and `y`, and
+  * no id given twice.
   */
 class InputContractSpec extends SparkSpec {
 
@@ -25,6 +26,8 @@ class InputContractSpec extends SparkSpec {
     assert(h.getMessage == e.getMessage)
     val b = intercept[IllegalArgumentException](DistanceMatrix.build(points, SpatialRange(10)))
     assert(b.getMessage == e.getMessage)
+    val bl = intercept[IllegalArgumentException](BaranLike.clean(points, points.select("id", "value")))
+    assert(bl.getMessage == e.getMessage)
     e.getMessage
   }
 

@@ -34,7 +34,7 @@ class OutputSchemaSpec extends SparkSpec {
   }
 
   test("Sparcle's frames have the same schema under a range, exact-location and kNN constraint") {
-    val repairs = Seq("id: bigint not null", "oldValue: string", "newValue: string")
+    val repairs = Seq("id: bigint not null", "oldValue: string", "newValue: string not null")
     for ((name, c) <- Seq("SpatialRange" -> SpatialRange(150), "ExactLocation" -> ExactLocation,
                           "SpatialKnn" -> SpatialKnn(5)))
       check(name, Sparcle.clean(pts, SparcleParams(c)), repairs)

@@ -3,9 +3,12 @@ package repro.core
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
+import repro.eval.Tables
 
 /** Golden tests replaying the paper's worked example (Fig. 3, Table 2,
-  * Fig. 4) through Sparcle's modules and asserting the printed values.
+  * Fig. 4) through the DistanceMatrix-input views (`PaperExampleFrames.run`)
+  * and asserting the printed values, and that Table 2 from the per-cell
+  * kernel agrees with them.
   *
   * One documented deviation (DESIGN.md §3): Table 2 lists r5's "S. Island"
   * sum-weight as 0.01, but the paper's own DistanceMatrix contains the row
@@ -17,7 +20,7 @@ class PaperExampleSpec extends SparkSpec {
 
   private val eps = 0.01 // the paper prints two decimals
 
-  private lazy val (err, cand, scored) = PaperExample.run(spark)
+  private lazy val (err, cand, scored) = PaperExampleFrames.run(spark)
   private lazy val byCell: Map[(Long, String), (Double, Double, Double, Double, Double, Double)] =
     scored.collect().map { r =>
       ((r.getAs[Long]("id"), r.getAs[String]("value")),
@@ -28,7 +31,7 @@ class PaperExampleSpec extends SparkSpec {
   import PaperExample._
 
   test("Fig 3c: matrix weights match the paper's W column") {
-    val w = PaperExample.distanceMatrix(spark).collect()
+    val w = PaperExampleFrames.distanceMatrix(spark).collect()
       .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(5))).toMap
     assert(math.abs(w((1L, 2L)) - 0.64) < 1e-9)
     assert(math.abs(w((1L, 3L)) - 0.25) < 1e-9)
@@ -119,7 +122,7 @@ class PaperExampleSpec extends SparkSpec {
     // Manhattan (violation gap 0.09 within the initial-value margin, and the
     // paper's probabilities favor it 0.68); r4..r6 keep their originals.
     val repairs = Sparcle.repairsFrom(
-      PaperExample.points(spark), err, scored, cand.labels).collect()
+      PaperExampleFrames.points(spark), err, scored, cand.labels).collect()
       .map(r => r.getLong(0) -> (r.getString(1), r.getString(2))).toMap
     assert(repairs == Map(
       1L -> (SI, Man),
@@ -137,5 +140,14 @@ class PaperExampleSpec extends SparkSpec {
       assert(byViol == byFg, s"cell $id viol/fg disagree")
       assert(byViol == byP, s"cell $id viol/p disagree")
     }
+  }
+
+  test("Table 2 from the kernel has the views' candidates and scores") {
+    val views = cand.candidates.collect().map(r =>
+      (r.getAs[Long]("id"), r.getAs[String]("value")) ->
+        Seq(r.getAs[Double]("sumW"), r.getAs[Double]("prob"), r.getAs[Double]("normProb"))).toMap
+    val kernel = Tables.table2().map(r => (r.cell, r.value) -> Seq(r.sumW, r.prob, r.normProb)).toMap
+    assert(kernel.keySet == views.keySet)
+    for ((k, scores) <- kernel; (a, b) <- scores.zip(views(k))) assert(math.abs(a - b) <= 1e-12, k)
   }
 }

@@ -36,8 +36,8 @@ class SpatialErrorDetectorSpec extends SparkSpec {
   }
 
   test("paper example: r1..r6 erroneous, r7 clean (Fig. 3)") {
-    val pts = PaperExample.points(spark)
-    val dm = PaperExample.distanceMatrix(spark)
+    val pts = PaperExampleFrames.points(spark)
+    val dm = PaperExampleFrames.distanceMatrix(spark)
     val err = SpatialErrorDetector.erroneousCells(pts, dm)
     assert(ids(err) == Set(1L, 2L, 3L, 4L, 5L, 6L))
     assert(ids(pts) -- ids(err) == Set(7L))

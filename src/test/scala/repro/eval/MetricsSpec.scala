@@ -1,7 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.functions._
-
 import repro.{SparkSpec, TestPoints}
 
 class MetricsSpec extends SparkSpec {
@@ -75,7 +73,6 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("overall requires every attribute of a record to be corrected") {
-    implicit val ss: org.apache.spark.sql.SparkSession = spark
     val records = Seq(
       (1L, 0.0, 0.0, "a-bad", "b-ok"),
       (2L, 1.0, 0.0, "a-ok", "b-bad"),
@@ -97,7 +94,6 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("overall treats null attributes as erroneous") {
-    implicit val ss: org.apache.spark.sql.SparkSession = spark
     val records = Seq((1L, 0.0, 0.0, null.asInstanceOf[String]), (2L, 1.0, 0.0, "ok"))
       .toDF("id", "x", "y", "attrA")
     val truth = Seq((1L, "ok"), (2L, "ok")).toDF("id", "attrA")

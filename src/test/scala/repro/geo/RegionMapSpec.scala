@@ -49,22 +49,6 @@ class RegionMapSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
-  test("secondRegionOf differs from regionOf when k >= 2") {
-    val m = RegionMap.voronoi(extent, 8, "r", seed = 5)
-    forAllSeeded(Gen.zip(Gen.chooseNum(0.0, 10000.0), Gen.chooseNum(0.0, 10000.0))) {
-      case (x, y) => assert(m.secondRegionOf(x, y) != m.regionOf(x, y))
-    }
-  }
-
-  test("secondRegionOf is the second-nearest site (brute force check)") {
-    val m = RegionMap.voronoi(extent, 15, "r", seed = 6)
-    forAllSeeded(Gen.zip(Gen.chooseNum(0.0, 10000.0), Gen.chooseNum(0.0, 10000.0))) {
-      case (x, y) =>
-        val sorted = m.sites.sortBy { case (sx, sy, _) => Geo.dist(x, y, sx, sy) }
-        assert(m.secondRegionOf(x, y) == sorted(1)._3)
-    }
-  }
-
   test("voronoiLabeled uses exactly the provided labels") {
     val labels = Seq("Manhattan", "Brooklyn", "Queens", "Bronx", "Staten Island")
     val m = RegionMap.voronoiLabeled(extent, labels, seed = 7)
