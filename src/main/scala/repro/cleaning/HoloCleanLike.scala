@@ -27,8 +27,6 @@ import repro.core._
   */
 object HoloCleanLike {
 
-  def clean(points: DataFrame, candGen: CandGenParams = CandGenParams()): SparcleResult = {
-    val stats = ValueStats.of(points)
-    Sparcle.run(points, SparcleParams(ExactLocation, candGen), stats, fallback = stats.modal)
-  }
+  def clean(points: DataFrame, candGen: CandGenParams = CandGenParams()): SparcleResult =
+    Sparcle.run(points, SparcleParams(ExactLocation, candGen), _.modal)
 }

@@ -5,7 +5,7 @@ import scala.reflect.ClassTag
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Encoders}
 
-import repro.spatialjoin.{Cells, Copy, KnnJoin, RangeJoin}
+import repro.spatialjoin.{Cells, Copy, KnnJoin, RangeJoin, Tally}
 
 /** A record's neighbour under a constraint: its `copy`, distance F and weight W. */
 final case class Neighbour(copy: Copy, dist: Double, w: Double)
@@ -13,8 +13,15 @@ final case class Neighbour(copy: Copy, dist: Double, w: Double)
 /** A constraint's neighbour relation, not materialized. */
 trait Neighbours {
 
+  /** Per reduce task of the join: `f` of the tally of the whole input, merged
+    * in the task, and of the task's records, each with its neighbours, inside
+    * the join's loop.
+    */
+  def reduceTasks[A: ClassTag](f: (Tally, Iterator[(Copy, Iterator[Neighbour])]) => Iterator[A]): RDD[A]
+
   /** What `f` gives for every record with its neighbours, inside the join's loop. */
-  def reduce[A: ClassTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): RDD[A]
+  final def reduce[A: ClassTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): RDD[A] =
+    reduceTasks((_, records) => records.flatMap { case (a, nbs) => f(a, nbs) })
 }
 
 /** The spatial self-join of §3.2: each r1 with every r2 that satisfies the
@@ -47,29 +54,33 @@ object DistanceMatrix {
   /** The neighbour relation of `points` under `constraint`: the range join
     * weighed W(dist, d), the exact-location join weighed 1, or the kNN
     * radius rounds weighed W(dist, dk). A kNN relation searches here (the
-    * extent job and open-id collects), once for all its reducers.
+    * input's tally, which checks the points contract, and the open-id
+    * collects), once for all its reducers.
     */
   def neighbours(points: DataFrame, constraint: SpatialConstraint): Neighbours = constraint match {
     case SpatialRange(d, w) => weighed(RangeJoin.cells(points, d))(w.weight(_, d))
     case ExactLocation      => weighed(RangeJoin.locations(points))(_ => 1.0)
     case SpatialKnn(k, w) =>
-      val rounds = KnnJoin.rounds(points, k)
+      val rounds = KnnJoin.rounds(points, k, Tally.of(points))
       new Neighbours {
-        def reduce[A: ClassTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): RDD[A] = {
+        def reduceTasks[A: ClassTag](f: (Tally, Iterator[(Copy, Iterator[Neighbour])]) => Iterator[A]): RDD[A] = {
           val weight = w // the closure must not capture this wrapper
           // dk = 0 happens only when all k neighbours sit at the exact same
           // location; they are perfect co-occurrences, so weight 1.
-          rounds.reduce((a, nbs, dk) => f(a, nbs.iterator.map { case (b, dist) =>
-            Neighbour(b, dist, if (dk == 0) 1.0 else weight.weight(dist, dk)) }))
+          rounds.reduceTasks((t, probes) => f(t, probes.map { case (a, nbs, dk) =>
+            a -> nbs.iterator.map { case (b, dist) => Neighbour(b, dist, if (dk == 0) 1.0 else weight.weight(dist, dk)) }
+          }))
         }
       }
   }
 
   /** The neighbours of the join over `cells`, each weighed by `weigh(dist)`. */
   private def weighed(cells: Cells)(weigh: Double => Double): Neighbours = new Neighbours {
-    def reduce[A: ClassTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): RDD[A] = {
+    def reduceTasks[A: ClassTag](f: (Tally, Iterator[(Copy, Iterator[Neighbour])]) => Iterator[A]): RDD[A] = {
       val w = weigh // the closure must not capture this wrapper
-      RangeJoin.reduce(cells)((a, bs) => f(a, bs.map { case (b, dist) => Neighbour(b, dist, w(dist)) }))
+      RangeJoin.reduceTasks(cells)((t, probes) => f(t, probes.map { case (a, bs) =>
+        a -> bs.map { case (b, dist) => Neighbour(b, dist, w(dist)) }
+      }))
     }
   }
 }

@@ -1,10 +1,13 @@
 package repro.core
 
+import scala.jdk.CollectionConverters._
 import scala.math.Ordering.Double.TotalOrdering
 
 import org.apache.spark.sql.{DataFrame, Encoders, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
+
+import repro.spatialjoin.{Copy, Tally}
 
 /** End-to-end Sparcle configuration for one spatial functional dependency
   * (Lat, Lon) → A.
@@ -20,14 +23,15 @@ final case class SparcleParams(
     keepOriginalMargin: Double = Sparcle.DefaultMargin,
 )
 
-/** Everything a run produces, for inspection by tests and benches. Every
-  * frame is lazy and nothing is persisted: collecting `repairs` runs the
-  * spatial join and, inside it, one loop per grid cell. The other frames
-  * are built on first read, so a caller that reads only `repairs` pays for
-  * none of them.
+/** Everything a run produces, for inspection by tests and benches. `clean`
+  * computes `repairs` in the join's job and holds them on the driver, so
+  * reading them starts no job. Every other frame is lazy and nothing is
+  * persisted: each is built on first read, and reading it runs the join's
+  * loop per grid cell again on the join's shuffle output, so a caller that
+  * reads only `repairs` pays for none of them.
   *
   * @param repairs cells whose final value differs from the input:
-  *                `id, oldValue (nullable), newValue`
+  *                `id, oldValue (nullable), newValue`, a local frame
   */
 final class SparcleResult(dmOf: => DataFrame, erroneousOf: => DataFrame, candidatesOf: => DataFrame,
                           labelsOf: => DataFrame, val repairs: DataFrame) {
@@ -70,42 +74,64 @@ final case class Cell(id: Long, v1: String, detected: Boolean, candidates: Seq[C
   * semantics.
   *
   * Execution: every stage after the join reads only one cell's neighbour
-  * histogram, so [[decide]] runs them all per cell, reducing the
-  * constraint's `DistanceMatrix.neighbours` inside the join's loop per grid
-  * cell: over the sorted runs of cell copies behind the range or
-  * exact-location join's one shuffle (one partition per core), or in the
-  * round of the kNN join that finalizes the cell. Each run lists its copies
-  * by id, so every histogram sum is a function of the input alone, whatever
-  * its partitioning. The per-cell output is one RDD of [[Cell]]s: `repairs`
-  * is a frame over its filtered rows (no SQL operator is planned per call),
-  * and `erroneous`, `candidates` and `labels` are projections of a frame
-  * over it, built when read; `dm` reduces the same relation to rows when
-  * read, so a kNN run searches once. The
-  * DistanceMatrix-input layer functions (`generate`, `allFormats`,
-  * [[repairsFrom]]) share these functions.
+  * histogram and the corpus statistics, so [[decide]] runs them all per
+  * cell, reducing the constraint's `DistanceMatrix.neighbours` inside the
+  * join's loop per grid cell: over the sorted runs of cell copies behind the
+  * range or exact-location join's one shuffle (one partition per core), or
+  * in the round of the kNN join that finalizes the cell. Each run lists its
+  * copies by id, so every histogram sum is a function of the input alone,
+  * whatever its partitioning. The statistics ride the same shuffle: each
+  * reduce task merges the tallies that the join's map tasks send it into
+  * the [[ValueStats]] of the whole input before its first cell. `clean`
+  * runs the join's one job (a kNN clean: its final reduce, after the
+  * search) at once: each reduce task returns its repairs, its records' ids
+  * sorted and the first row that breaks the points contract, and the driver
+  * throws the contract's error ([[repro.spatialjoin.Tally.check]]) or makes
+  * `repairs` a local frame. `erroneous`, `candidates` and `labels` are
+  * projections of a frame over the per-cell RDD of [[Cell]]s, built when
+  * read; `dm` reduces the same relation to rows when read, so a kNN run
+  * searches once. The DistanceMatrix-input layer functions (`generate`,
+  * `allFormats`, [[repairsFrom]]) share these functions.
   */
 object Sparcle {
 
   /** The corrector's default `keepOriginalMargin`. */
   val DefaultMargin: Double = 0.25
 
-  def clean(points: DataFrame, params: SparcleParams): SparcleResult =
-    run(points, params, ValueStats.of(points), fallback = None)
+  def clean(points: DataFrame, params: SparcleParams): SparcleResult = run(points, params, _ => None)
 
-  /** The pipeline with the corpus statistics given.
+  /** The pipeline, run at once up to its repairs.
     *
-    * @param fallback the host's value for detected cells without any
-    *                 candidate (isolated null cells), or None to leave them
-    *                 unrepaired
+    * @param fallback the host's value, from the input's statistics, for
+    *                 detected cells without any candidate (isolated null
+    *                 cells), or None to leave them unrepaired
     */
-  private[repro] def run(points: DataFrame, params: SparcleParams, stats: ValueStats,
-                         fallback: Option[String]): SparcleResult = {
+  private[repro] def run(points: DataFrame, params: SparcleParams,
+                         fallback: ValueStats => Option[String]): SparcleResult = {
     val SparcleParams(constraint, candGen, margin) = params
     val spark = points.sparkSession
     val neighbours = DistanceMatrix.neighbours(points, constraint)
-    // Decides each record's cell in the join's loop.
-    val cells = neighbours.reduce((a, nbs) =>
-      Some(decide(a.id, new Histogram(a.value, nbs.map(n => (n.copy.value, n.w))), stats, candGen, margin)))
+    // Decides each record's cell in the join's loop, with the statistics
+    // that its reduce task merged.
+    val cells = neighbours.reduceTasks((t, records) => decideAll(ValueStats.of(t), records, candGen, margin))
+    val outcomes = neighbours.reduceTasks { (t, records) =>
+      val stats = ValueStats.of(t)
+      // A detected cell without any candidate (a null cell whose neighbours
+      // are all null or absent) takes the fallback.
+      val fill = fallback(stats).orNull
+      val repairs = Array.newBuilder[Row]
+      val ids = Array.newBuilder[Long]
+      decideAll(stats, records, candGen, margin).foreach { c =>
+        ids += c.id
+        val v = if (c.newValue != null) c.newValue else fill
+        if (c.detected && v != null && v != c.v1) repairs += Row(c.id, c.v1, v)
+      }
+      val sorted = ids.result()
+      java.util.Arrays.sort(sorted)
+      Iterator(Outcome(repairs.result(), sorted, t.bad))
+    }.collect()
+    Tally.check(outcomes.iterator.map(_.bad).find(_ != null).orNull, outcomes.map(_.ids))
+    val repairs = spark.createDataFrame(outcomes.iterator.flatMap(_.repairs).toSeq.asJava, repairSchema)
     lazy val frame = spark.createDataset(cells)(cellEncoder).toDF()
     lazy val dm = DistanceMatrix.of(points, neighbours)
     // The kNN relation is asymmetric: a conflict also flags its r2 cell.
@@ -113,16 +139,21 @@ object Sparcle {
       case _: SpatialKnn => frame.join(SpatialErrorDetector.erroneousCells(points, dm), Seq("id"), "left_semi")
       case _             => frame.where(col("detected"))
     }
-    // A detected cell without any candidate (a null cell whose neighbours are
-    // all null or absent) takes the fallback.
-    val fill = fallback.orNull
-    val repairs = spark.createDataFrame(cells.flatMap { c =>
-      val v = if (c.newValue != null) c.newValue else fill
-      if (c.detected && v != null && v != c.v1) Some(Row(c.id, c.v1, v)) else None
-    }, repairSchema)
     new SparcleResult(dm, flagged.select("id"), SpatialCandidateGenerator.candidatesOf(flagged),
                       SpatialCandidateGenerator.labelsOf(flagged), repairs)
   }
+
+  /** One reduce task's result: its repairs, its records' ids sorted, and the
+    * first row of the input that breaks the points contract (null if none).
+    */
+  private final case class Outcome(repairs: Array[Row], ids: Array[Long], bad: String)
+
+  /** The [[Cell]] of each of `records`, decided with `stats`. */
+  private def decideAll(stats: ValueStats, records: Iterator[(Copy, Iterator[Neighbour])], candGen: CandGenParams,
+                        margin: Double): Iterator[Cell] =
+    records.map { case (a, nbs) =>
+      decide(a.id, new Histogram(a.value, nbs.map(n => (n.copy.value, n.w))), stats, candGen, margin)
+    }
 
   /** `id, oldValue, newValue`: a repair always has a value. */
   private val repairSchema: StructType =

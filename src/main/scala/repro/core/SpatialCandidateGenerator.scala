@@ -1,12 +1,11 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.math.Ordering.Double.TotalOrdering
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
-import repro.spatialjoin.RangeJoin
+import repro.spatialjoin.Tally
 
 /** Parameters of the candidate generation process (§4).
   *
@@ -49,9 +48,11 @@ final case class Candidate(value: String, nearW: Double, isOrig: Boolean, sumW: 
                            viol: Double, p: Double, fg: Double)
 
 /** Corpus-level statistics backing Phase 2: the value-frequency table
-  * Count(v, D) and the dataset size |D| (Fig. 3b). By default they come from
-  * one shuffle-free pass over the input points; tests reproducing the
-  * paper's worked example inject the paper's figures directly.
+  * Count(v, D) and the dataset size |D| (Fig. 3b). A clean's reduce tasks
+  * merge them from the tallies the join's map tasks send ([[Tally]]);
+  * [[ValueStats.of]] reads them from the input in a pass of their own; tests
+  * reproducing the paper's worked example inject the paper's figures
+  * directly.
   */
 final case class ValueStats(counts: Map[String, Long], total: Long) {
 
@@ -62,44 +63,17 @@ final case class ValueStats(counts: Map[String, Long], total: Long) {
 
 object ValueStats {
 
-  /** The statistics of `points`, counted per partition and merged on the
-    * driver: one job over the input's rows (`RangeJoin.rows`), no shuffle,
-    * at most one task per core.
-    * The same pass checks the points contract: a `string` value column, and
-    * a non-null `id` with finite `x` and `y` on every record. Each partition
-    * also returns its ids sorted, and the driver merges them to check that
-    * no id repeats: the join tells a record's pair with itself from its
-    * neighbours by id.
+  /** The statistics of `points`, which checks the points contract first
+    * (`Tally.of`: one job over the input's rows, no shuffle, at most one task
+    * per core): a `string` value column, and a non-null `id` with finite `x`
+    * and `y` on every record, and no id given twice. This is the eager check
+    * of `DistanceMatrix.build` and `BaranLike.clean`; `Sparcle.clean` makes
+    * the same check in its join's job instead.
     */
-  def of(points: DataFrame): ValueStats = {
-    val parts = RangeJoin.rows(points).mapPartitions { rows =>
-      val counts = mutable.HashMap.empty[String, Long]
-      val ids = Array.newBuilder[Long]
-      var bad: Option[String] = None
-      rows.foreach { r =>
-        def finite(i: Int) = !r.isNullAt(i) && r.getDouble(i).isFinite
-        def show(i: Int) = if (r.isNullAt(i)) "null" else r.getDouble(i).toString
-        if (bad.isEmpty) {
-          if (r.isNullAt(0)) bad = Some(s"null id (x=${show(1)}, y=${show(2)})")
-          else if (!finite(1) || !finite(2))
-            bad = Some(s"id ${r.getLong(0)}: non-finite coordinates (${show(1)}, ${show(2)})")
-        }
-        if (!r.isNullAt(0)) ids += r.getLong(0)
-        if (!r.isNullAt(3)) {
-          val v = r.getUTF8String(3).toString
-          counts(v) = counts.getOrElse(v, 0L) + 1
-        }
-      }
-      val sorted = ids.result()
-      java.util.Arrays.sort(sorted)
-      Iterator((counts.toMap, sorted, bad))
-    }.collect()
-    val ids = parts.flatMap(_._2)
-    java.util.Arrays.sort(ids) // merges the partitions' sorted runs
-    val dup = ids.indices.drop(1).find(i => ids(i) == ids(i - 1)).map(i => s"duplicate id ${ids(i)}")
-    (parts.flatMap(_._3) ++ dup).headOption.foreach(b => throw new IllegalArgumentException(s"points: $b"))
-    ValueStats(parts.iterator.flatMap(_._1).toSeq.groupMapReduce(_._1)(_._2)(_ + _), ids.length)
-  }
+  def of(points: DataFrame): ValueStats = of(Tally.of(points))
+
+  /** The statistics of the rows that `tally` counts. */
+  def of(tally: Tally): ValueStats = ValueStats(tally.counts, tally.records)
 }
 
 /** Spatial candidate generator (§4, Algorithm 2).

@@ -13,26 +13,27 @@ import org.apache.spark.sql.DataFrame
   */
 private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[Set[Long]])]) {
 
-  /** What `f` gives for every probe with its k nearest neighbours (and
-    * their distance) in (dist, id) order and `dk`, the last one's distance:
-    * the union of every round's reduce, which reads the round's shuffle
-    * output that its open-id collect left.
+  /** Per reduce task of every round: `f` of the tally of the whole input,
+    * merged in the task, and of the probes the round finalizes, each with its
+    * k nearest neighbours (and their distance) in (dist, id) order and `dk`,
+    * the last one's distance. This is the union of every round's reduce,
+    * which reads the round's shuffle output that its open-id collect left.
     * A probe is finalized in the first round where it has ≥ k neighbours
     * within the radius, and the last round finalizes every probe still
     * open: its radius exceeds the extent, or no probe stays open after it.
     */
-  def reduce[A: ClassTag](f: (Copy, Seq[(Copy, Double)], Double) => IterableOnce[A]): RDD[A] = {
+  def reduceTasks[A: ClassTag](f: (Tally, Iterator[(Copy, Seq[(Copy, Double)], Double)]) => Iterator[A]): RDD[A] = {
     val k = kEff
     val reduced = rounds.zipWithIndex.map { case ((cells, open), i) =>
       val last = i == rounds.size - 1
-      RangeJoin.reduce(cells) { (a, bs) =>
+      RangeJoin.reduceTasks(cells)((t, probes) => f(t, probes.flatMap { case (a, bs) =>
         lazy val nbs = bs.toSeq
-        if (!open.forall(_(a.id)) || nbs.size < k && !last) Nil
+        if (!open.forall(_(a.id)) || nbs.size < k && !last) None
         else {
           val top = nbs.sortBy { case (b, dist) => (dist, b.id) }.take(k)
-          f(a, top, top.lastOption.fold(0.0)(_._2))
+          Some((a, top, top.lastOption.fold(0.0)(_._2)))
         }
-      }
+      }))
     }
     reduced.head.sparkContext.union(reduced)
   }
@@ -41,8 +42,9 @@ private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[
 /** k-nearest-neighbor self-join, built on [[RangeJoin]]'s loop with a
   * growing search radius.
   *
-  * The input sets the radii. One job, no shuffle, reads the record count n
-  * and the extent diagonal from the input's rows. The last radius lies just
+  * The input sets the radii: the caller's pass over the input
+  * (`Tally.of`, which also checks the points contract) gives the record
+  * count n and the extent diagonal. The last radius lies just
   * above the diagonal, so every pair is inside it and that round is exact
   * and total. The first is
   * the diagonal × √(k/n), which holds about 2πk points of a uniform input;
@@ -56,9 +58,10 @@ private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[
   * then < r and those neighbours hold its true kNN. One reducer emits the ids
   * still open, which the driver collects; the set is captured in the next
   * round's closures, so every round's plan reads only the input and nothing
-  * is persisted. The other, run lazily by the consumer ([[KnnRounds.reduce]]),
+  * is persisted. The other, run by the consumer ([[KnnRounds.reduceTasks]]),
   * hands each finalized probe's k nearest and `dk` to the consumer's
-  * function: `DistanceMatrix.neighbours` weighs them for its reducers, the
+  * function, with the tally of the whole input that each round's shuffle
+  * carries: `DistanceMatrix.neighbours` weighs them for its reducers, the
   * DistanceMatrix rows and `Sparcle.clean`'s per-cell kernel.
   *
   * A probe's k nearest are ordered by (dist, id), so ties are broken by id,
@@ -68,21 +71,18 @@ private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[
   */
 object KnnJoin {
 
-  /** The radius rounds of `points`' kNN join: runs the extent job and one
-    * open-id collect per round before the last.
+  /** The radius rounds of `points`' kNN join, whose record count and extent
+    * `input` (`Tally.of(points)`) holds: runs one open-id collect per round
+    * before the last.
     */
-  private[repro] def rounds(points: DataFrame, k: Int): KnnRounds = {
+  private[repro] def rounds(points: DataFrame, k: Int, input: Tally): KnnRounds = {
     require(k >= 1, s"k must be >= 1, got $k")
 
     val rows = RangeJoin.rows(points)
-    // The record count and the extent: (n, min x, max x, min y, max y).
-    val (n, x0, x1, y0, y1) = rows.map(r => (1L, r.getDouble(1), r.getDouble(1), r.getDouble(2), r.getDouble(2)))
-      .fold((0L, Double.PositiveInfinity, Double.NegativeInfinity, Double.PositiveInfinity, Double.NegativeInfinity)) {
-        (a, b) => (a._1 + b._1, math.min(a._2, b._2), math.max(a._3, b._3), math.min(a._4, b._4), math.max(a._5, b._5))
-      }
+    val n = input.records
     // A point can have at most n-1 neighbors; clamp like real kNN systems do.
     val kEff = math.min(k.toLong, math.max(0L, n - 1)).toInt
-    val diag = if (n == 0) 0.0 else math.hypot(x1 - x0, y1 - y0)
+    val diag = if (n == 0) 0.0 else math.hypot(input.x1 - input.x0, input.y1 - input.y0)
     // The margin absorbs rounding in the join's distances; a zero extent
     // (all points co-located) takes any positive radius.
     val last = if (diag > 0) diag * (1 + 1e-9) else 1.0

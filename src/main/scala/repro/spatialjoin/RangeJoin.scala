@@ -8,14 +8,14 @@ import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types.{DoubleType, LongType, StringType}
 
-/** A point's copy in a grid cell; the copy in its home cell is its `probe`. */
-final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Boolean)
-
 /** A pair of the join: `r2` lies within the distance of probe `r1`. */
 final case class Pair(r1: Long, r2: Long, v1: String, v2: String, dist: Double)
 
-/** A join's copies, shuffled by grid cell `(cx, cy)`, and its distance test. */
-final case class Cells(copies: ShuffledRDD[(Long, Long), Copy, Copy], near: Double => Boolean)
+/** A join's copies, shuffled by grid cell `(cx, cy)` with the map tasks'
+  * tallies (keyed by the reduce partition each goes to), and its distance
+  * test.
+  */
+final case class Cells(copies: ShuffledRDD[Any, JoinRecord, JoinRecord], near: Double => Boolean)
 
 /** Grid-binned spatial distance self-join.
   *
@@ -39,23 +39,31 @@ final case class Cells(copies: ShuffledRDD[(Long, Long), Copy, Copy], near: Doub
   * of `a`.
   *
   * The join is one RDD shuffle. Its map tasks, at most one per core, read
-  * the input's internal rows ([[rows]]) and make the copies; the
-  * [[CopySerializer]] writes each as a fixed-layout record
+  * the input's internal rows ([[rows]]), check each against the points
+  * contract and count its value ([[Tallier]]), and make the copies of each
+  * valid row; a row that breaks the contract gets none. The
+  * [[CopySerializer]] writes each copy as a fixed-layout record
   * `(cx, cy, id, x, y, value, probe)`, and the [[CellPartitioner]] sends it
-  * to its cell's partition, one partition per core of the job. Each reduce
-  * task groups the copies it reads by cell in a hash map ([[runs]]) and
-  * takes the cells in `(cx, cy)` order, each cell's copies in id order as
-  * one run; one loop per run ([[scan]]) pairs its probes with all its copies
-  * within exact Euclidean distance `d`. The grouping does not spill: a
-  * reduce task holds its whole partition, about 55 bytes per copy (the
-  * `Copy` and its buffer slot) and 100 more per cell, plus one string per
-  * distinct value of each map output it reads. The public joins emit the
-  * loop's pairs as rows; `DistanceMatrix.neighbours` and each radius round of
-  * [[KnnJoin]] reduce them inside the loop instead.
+  * to its cell's partition, one partition per core of the job. At the end of
+  * its partition, each map task sends its [[Tally]] to every reduce
+  * partition: P² tallies per join (P = `defaultParallelism`), each holding
+  * at most the distinct values of one map partition. Each reduce task merges
+  * the tallies it reads into the tally of the whole input, groups the copies
+  * by cell in a hash map ([[runs]]) and takes the cells in `(cx, cy)` order,
+  * each cell's copies in id order as one run; one loop per run ([[scan]])
+  * pairs its probes with all its copies within exact Euclidean distance `d`.
+  * The grouping does not spill: a reduce task holds its whole partition,
+  * about 55 bytes per copy (the `Copy` and its buffer slot) and 100 more per
+  * cell, plus one string per distinct value of each map output it reads. The
+  * public joins emit the loop's pairs as rows; `DistanceMatrix.neighbours`
+  * and each radius round of [[KnnJoin]] reduce them inside the loop instead,
+  * and `Sparcle.clean` reads the merged tally there too.
   *
   * Input contract ("points" frame): it starts with the columns `id: long`,
   * `x: double`, `y: double` (planar meters) and `value: string` (nullable),
-  * in that order, and its ids are unique.
+  * in that order; each id is non-null and unique, and `x` and `y` are
+  * finite. The public joins leave out a row that breaks the contract; the
+  * callers that check it throw ([[Tally.check]]).
   * Output columns: `r1, r2, v1, v2, dist` with `r1 != r2` and `dist < d`;
   * both orientations of every pair are emitted, matching the paper's
   * DistanceMatrix (Fig. 3c).
@@ -121,49 +129,74 @@ object RangeJoin {
     group(rows(points), _ == 0.0)((id, x, y, value) => Some((bits(x), bits(y)) -> Copy(id, x, y, value, probe = true)))
   }
 
-  /** The copies of each row's `id, x, y, value`, by `copies`, shuffled. */
-  private def group(rows: RDD[InternalRow], near: Double => Boolean)
-                   (copies: (Long, Double, Double, String) => IterableOnce[((Long, Long), Copy)]): Cells =
-    shuffle(rows.flatMap(r =>
-      copies(r.getLong(0), r.getDouble(1), r.getDouble(2), if (r.isNullAt(3)) null else r.getUTF8String(3).toString)),
-      near)
-
-  /** The join's one shuffle: `copies`, keyed by cell, into one partition per
-    * core of the job (`defaultParallelism`).
+  /** The copies of each valid row's `id, x, y, value`, by `copies`, and each
+    * map task's tally of its rows ([[Tallier]]), sent to every reduce
+    * partition after its copies, shuffled.
     */
-  private[repro] def shuffle(copies: RDD[((Long, Long), Copy)], near: Double => Boolean): Cells = {
-    val byCell = new ShuffledRDD[(Long, Long), Copy, Copy](copies, new CellPartitioner(copies.sparkContext.defaultParallelism))
-    Cells(byCell.setSerializer(CopySerializer), near)
+  private def group(rows: RDD[InternalRow], near: Double => Boolean)
+                   (copies: (Long, Double, Double, String) => IterableOnce[((Long, Long), Copy)]): Cells = {
+    val reducers = rows.sparkContext.defaultParallelism
+    shuffle(rows.mapPartitionsWithIndex { (part, rs) =>
+      val tally = new Tallier(part)
+      rs.flatMap(r => tally.add(r)(copies)) ++ {
+        val t = tally.result
+        Iterator.tabulate(reducers)(to => (to, t))
+      }
+    }, near)
   }
 
-  /** The join loop of one cell: `f` of each probe, in id order, with
-    * the cell's copies (and their distance) that pass `near`, in id order.
+  /** The join's one shuffle: `records`, copies keyed by cell and tallies by
+    * the reduce partition they go to, into one partition per core of the
+    * job (`defaultParallelism`).
+    */
+  private[repro] def shuffle(records: RDD[_ <: Product2[Any, JoinRecord]], near: Double => Boolean): Cells = {
+    val partitioner = new CellPartitioner(records.sparkContext.defaultParallelism)
+    Cells(new ShuffledRDD[Any, JoinRecord, JoinRecord](records, partitioner).setSerializer(CopySerializer), near)
+  }
+
+  /** The join loop of one cell: each probe, in id order, with the cell's
+    * copies (and their distance) that pass `near`, in id order.
     * A copy with the probe's id is not its neighbour. The distance is
     * Spark's `sqrt(pow(dx, 2) + pow(dy, 2))`, bit for bit.
     */
-  private def scan[A](ps: collection.Seq[Copy], near: Double => Boolean)
-                     (f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): collection.Seq[A] =
-    ps.filter(_.probe).flatMap { a =>
-      f(a, ps.iterator.filter(_.id != a.id)
+  private def scan(ps: collection.Seq[Copy], near: Double => Boolean): Iterator[(Copy, Iterator[(Copy, Double)])] =
+    ps.iterator.filter(_.probe).map { a =>
+      a -> ps.iterator.filter(_.id != a.id)
         .map(b => (b, math.sqrt(StrictMath.pow(a.x - b.x, 2) + StrictMath.pow(a.y - b.y, 2))))
-        .filter { case (_, dist) => near(dist) })
+        .filter { case (_, dist) => near(dist) }
     }
 
-  /** What `f` gives for every probe of `cells`, by [[scan]] in each cell. */
-  private[repro] def reduce[A: ClassTag](cells: Cells)(f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): RDD[A] = {
+  /** Per reduce task of `cells`: `f` of the tally of the join's whole input,
+    * merged from the map tasks' tallies that the task reads, and of the
+    * task's probes, each with its neighbours by [[scan]], in `(cx, cy, id)`
+    * order.
+    */
+  private[repro] def reduceTasks[A: ClassTag](cells: Cells)
+                                             (f: (Tally, Iterator[(Copy, Iterator[(Copy, Double)])]) => Iterator[A]): RDD[A] = {
     val near = cells.near
-    cells.copies.mapPartitions(copies => runs(copies).flatMap(scan(_, near)(f)))
+    cells.copies.mapPartitions { records =>
+      val (tally, cellRuns) = runs(records)
+      f(tally, cellRuns.flatMap(scan(_, near)))
+    }
   }
 
-  /** The runs of equal cell in one partition of copies, in `(cx, cy)` order,
-    * each in id order. Each copy the shuffle yields is kept as it is, in its
-    * cell's buffer, which starts with room for one copy: most cells of the
-    * exact-location join hold one.
+  /** What `f` gives for every probe of `cells`, by [[scan]] in each cell. */
+  private[repro] def reduce[A: ClassTag](cells: Cells)(f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): RDD[A] =
+    reduceTasks(cells)((_, probes) => probes.flatMap { case (a, bs) => f(a, bs) })
+
+  /** The merged tally of one partition of records, and its runs of equal
+    * cell, in `(cx, cy)` order, each in id order. Each copy the shuffle
+    * yields is kept as it is, in its cell's buffer, which starts with room
+    * for one copy: most cells of the exact-location join hold one.
     */
-  private def runs(copies: Iterator[((Long, Long), Copy)]): Iterator[collection.Seq[Copy]] = {
+  private def runs(records: Iterator[(Any, JoinRecord)]): (Tally, Iterator[collection.Seq[Copy]]) = {
     val byCell = mutable.HashMap.empty[(Long, Long), mutable.ArrayBuffer[Copy]]
-    copies.foreach { case (cell, c) => byCell.getOrElseUpdate(cell, new mutable.ArrayBuffer(1)) += c }
-    byCell.toArray.sorted(ByCell).iterator.map(_._2.sorted(ById))
+    val tally = new Tallier(0)
+    records.foreach {
+      case (cell, c: Copy) => byCell.getOrElseUpdate(cell.asInstanceOf[(Long, Long)], new mutable.ArrayBuffer(1)) += c
+      case (_, t: Tally)   => tally ++= t
+    }
+    (tally.result, byCell.toArray.sorted(ByCell).iterator.map(_._2.sorted(ById)))
   }
 
   /** Cells by `(cx, cy)`, compared without boxing the coordinates. */

@@ -7,11 +7,11 @@ import org.apache.spark.sql.types._
 import repro.{SparkSpec, TestPoints}
 import repro.cleaning.{BaranLike, HoloCleanLike}
 
-/** The points contract, checked by the value-statistics pass that every
-  * `clean` call (Sparcle, HoloCleanLike and BaranLike) and
-  * `DistanceMatrix.build` make: the columns `id: long, x: double,
-  * y: double, value: string` first, a non-null `id`, finite `x` and `y`, and
-  * no id given twice.
+/** The points contract, checked by every `clean` call (Sparcle and
+  * HoloCleanLike in their join's job, BaranLike in a value-statistics pass)
+  * and by `DistanceMatrix.build`, all with the same message: the columns
+  * `id: long, x: double, y: double, value: string` first, a non-null `id`,
+  * finite `x` and `y`, and no id given twice.
   */
 class InputContractSpec extends SparkSpec {
 
@@ -69,5 +69,26 @@ class InputContractSpec extends SparkSpec {
       Row(1L, 0.0, 0.0, "a"), Row(2L, 1.0, 0.0, "a"), Row(3L, 2.0, 0.0, "a"),
       Row(3L, 3.0, 0.0, "b"), Row(4L, 4.0, 0.0, "a"), Row(5L, 5.0, 0.0, "a"))))
     assert(msg.contains("duplicate id 3"), msg)
+  }
+
+  test("a bad record only in the last input partition is rejected, naming it") {
+    val rows = (1L to 8L).map(i => Row(i, i.toDouble, 0.0, "a")) :+ Row(9L, Double.NaN, 0.0, "a")
+    val msg = rejects(frame(rows))
+    assert(msg == "points: id 9: non-finite coordinates (NaN, 0.0)", msg)
+  }
+
+  test("a duplicated id whose records lie in different cells is rejected, naming the smallest") {
+    // With d = 10, each id's two records lie far apart, in cells of their own.
+    val msg = rejects(frame(Seq(
+      Row(5L, 0.0, 0.0, "a"), Row(3L, 0.0, 1000.0, "a"), Row(1L, 1.0, 0.0, "b"),
+      Row(3L, 2000.0, 0.0, "b"), Row(2L, 5.0, 5.0, "a"), Row(5L, -3000.0, -3000.0, "c"))))
+    assert(msg == "points: duplicate id 3", msg)
+  }
+
+  test("an input with a null id and a duplicated id is rejected for the null id") {
+    // The duplicate comes first, in the first input partition.
+    val msg = rejects(frame(Seq(
+      Row(1L, 0.0, 0.0, "a"), Row(1L, 500.0, 0.0, "a"), Row(2L, 1.0, 0.0, "b"), Row(null, 3.0, 4.0, "b"))))
+    assert(msg == "points: null id (x=3.0, y=4.0)", msg)
   }
 }

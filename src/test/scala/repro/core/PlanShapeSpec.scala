@@ -20,15 +20,17 @@ import org.scalatest.time.{Seconds, Span}
 
 import repro.{SparkSpec, TestPoints}
 import repro.cleaning.HoloCleanLike
-import repro.spatialjoin.{CellPartitioner, CopySerializer, KnnJoin}
+import repro.spatialjoin.{CellPartitioner, CopySerializer, KnnJoin, Tally}
 
 /** The physical shape of a `clean` call: the spatial join is its only
-  * shuffle, an RDD shuffle of copies keyed by grid cell, and the value
-  * statistics are one shuffle-free job. The frames a call returns read the
-  * per-cell output directly: their SQL plans hold no exchange, aggregate,
-  * window or join.
+  * shuffle, an RDD shuffle of copies keyed by grid cell, and a range or
+  * exact-location call runs that join as its one job, whose map tasks also
+  * tally the value statistics. The repairs a call returns are local; the
+  * lazy frames read the per-cell output of the same shuffle. No frame's SQL
+  * plan holds an exchange, aggregate, window or join.
   */
 class PlanShapeSpec extends SparkSpec with Eventually {
+  import PlanShapeSpec.Usage
 
   private object Plans extends AdaptiveSparkPlanHelper
 
@@ -56,55 +58,82 @@ class PlanShapeSpec extends SparkSpec with Eventually {
     }
   }
 
+  /** A clean by `clean`, and what it started. */
+  private def cleaned(clean: => SparcleResult): (SparcleResult, Usage) = {
+    var r: SparcleResult = null
+    val usage = usageOf { r = clean }
+    (r, usage)
+  }
+
+  /** `clean` runs one job of two stages, the join's map stage and its reduce
+    * stage, at most one task per core each. Its lazy frames read that job's
+    * shuffle output: reading `erroneous` runs the reduce stage alone. Its
+    * repairs are local: collecting them starts no job, and their plan holds
+    * no SQL operator.
+    */
+  private def assertOneJob(name: String, clean: => SparcleResult): SparcleResult = {
+    val cores = spark.sparkContext.defaultParallelism
+    val (r, usage) = cleaned(clean)
+    assert(usage.jobs == 1, name)
+    assert(usage.tasks.size == 2 && usage.tasks.values.forall(n => n > 0 && n <= cores), s"$name: $usage")
+    assert(usage.writing == 1, s"$name: $usage")
+    val reread = usageOf(r.erroneous.collect())
+    assert(reread.jobs == 1 && reread.writing == 0 && reread.tasks.values.count(_ > 0) == 1, s"$name: $reread")
+    assert(jobsOf(r.repairs.collect()) == 0, name)
+    assert(sqlOperators(r.repairs).isEmpty, s"$name plans SQL operators")
+    r
+  }
+
   test("a SpatialRange clean shuffles exactly once") {
-    for (w <- Seq(PowerWeight(2), PowerWeight(0))) {
-      val repairs = Sparcle.clean(pts, SparcleParams(SpatialRange(300, w))).repairs
-      assert(shuffles(repairs).size == 1)
-      assert(sqlOperators(repairs).isEmpty)
-    }
+    for (w <- Seq(PowerWeight(2), PowerWeight(0)))
+      assertOneJob(s"SpatialRange $w", Sparcle.clean(pts, SparcleParams(SpatialRange(300, w))))
   }
 
   test("an ExactLocation clean and HoloCleanLike shuffle exactly once") {
-    assert(shuffles(Sparcle.clean(pts, SparcleParams(ExactLocation)).repairs).size == 1)
-    assert(shuffles(HoloCleanLike.clean(pts).repairs).size == 1)
+    assertOneJob("ExactLocation", Sparcle.clean(pts, SparcleParams(ExactLocation)))
+    assertOneJob("HoloCleanLike", HoloCleanLike.clean(pts))
   }
 
   test("a range or exact clean's one exchange has one partition per core, keyed by cell, and no aggregate") {
     val cores = spark.sparkContext.defaultParallelism
     val results = Seq(
-      "SpatialRange" -> Sparcle.clean(pts, SparcleParams(SpatialRange(300, PowerWeight(2)))),
-      "ExactLocation" -> Sparcle.clean(pts, SparcleParams(ExactLocation)),
-      "HoloCleanLike" -> HoloCleanLike.clean(pts))
-    for ((name, r) <- results) {
-      shuffles(r.repairs) match {
-        case Seq(s) =>
-          assert(s.partitioner == new CellPartitioner(cores), name)
-          assert(s.partitioner.numPartitions == cores, name)
-          assert(s.serializer eq CopySerializer, name)
-        case other => fail(s"$name: expected one shuffle by grid cell, got $other")
-      }
-      assert(sqlOperators(r.repairs).isEmpty, s"$name plans SQL operators")
+      "SpatialRange" -> (() => Sparcle.clean(pts, SparcleParams(SpatialRange(300, PowerWeight(2))))),
+      "ExactLocation" -> (() => Sparcle.clean(pts, SparcleParams(ExactLocation))),
+      "HoloCleanLike" -> (() => HoloCleanLike.clean(pts)))
+    for ((name, clean) <- results) {
+      val r = assertOneJob(name, clean())
+      for (frame <- Seq(r.erroneous, r.candidates, r.labels))
+        shuffles(frame) match {
+          case Seq(s) =>
+            assert(s.partitioner == new CellPartitioner(cores), name)
+            assert(s.partitioner.numPartitions == cores, name)
+            assert(s.serializer eq CopySerializer, name)
+          case other => fail(s"$name: expected one shuffle by grid cell, got $other")
+        }
     }
   }
 
   test("a SpatialKnn clean has no window or join and shuffles only by grid cell") {
-    val repairs = Sparcle.clean(pts, SparcleParams(SpatialKnn(5))).repairs
-    assert(sqlOperators(repairs).isEmpty)
-    val deps = shuffles(repairs)
+    val (r, usage) = cleaned(Sparcle.clean(pts, SparcleParams(SpatialKnn(5))))
+    assert(usage.writing > 0, usage)
+    assert(sqlOperators(r.repairs).isEmpty)
+    // The DistanceMatrix reads the shuffle output of the clean's rounds.
+    assert(usageOf(r.dm.collect()).writing == 0)
+    assert(sqlOperators(r.dm).isEmpty)
+    val deps = shuffles(r.dm)
     assert(deps.nonEmpty)
     deps.foreach(s => assert(s.partitioner == new CellPartitioner(spark.sparkContext.defaultParallelism)))
   }
 
-  /** The Spark jobs `body` starts, counted by job group, and the tasks each
-    * of their stages runs.
-    */
-  private def countsOf(body: => Unit): (Long, Map[Int, Int]) = {
+  /** What `body` starts, counted by job group. */
+  private def usageOf(body: => Unit): Usage = {
     val sc = spark.sparkContext
     val group = "plan-shape-jobs-of"
     val jobs = new AtomicLong
     val drained = new AtomicLong
     val sentinel = ConcurrentHashMap.newKeySet[Int]()
     val tasks = new ConcurrentHashMap[Int, Int]()
+    val writing = ConcurrentHashMap.newKeySet[Int]()
     val listener = new SparkListener {
       private def groupOf(e: SparkListenerJobStart) =
         Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull
@@ -116,7 +145,10 @@ class PlanShapeSpec extends SparkSpec with Eventually {
       override def onJobEnd(e: SparkListenerJobEnd): Unit =
         if (sentinel.contains(e.jobId)) drained.incrementAndGet()
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        tasks.computeIfPresent(e.stageId, (_, n) => n + 1)
+        if (tasks.containsKey(e.stageId)) {
+          tasks.computeIfPresent(e.stageId, (_, n) => n + 1)
+          if (e.taskMetrics != null && e.taskMetrics.shuffleWriteMetrics.bytesWritten > 0) writing.add(e.stageId)
+        }
     }
     sc.addSparkListener(listener)
     try {
@@ -125,29 +157,32 @@ class PlanShapeSpec extends SparkSpec with Eventually {
       sc.setJobGroup(s"$group-sentinel", "listener drain")
       try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
       eventually(timeout(Span(30, Seconds))) { assert(drained.get == 1) }
-      (jobs.get, tasks.asScala.toMap)
+      Usage(jobs.get, tasks.asScala.toMap, writing.size)
     } finally sc.removeSparkListener(listener)
   }
 
   /** The Spark jobs `body` starts, counted by job group. */
-  private def jobsOf(body: => Unit): Long = countsOf(body)._1
+  private def jobsOf(body: => Unit): Long = usageOf(body).jobs
 
   test("a SpatialKnn clean searches once: its dm starts no job of its own") {
-    val search = jobsOf { ValueStats.of(pts); KnnJoin.rounds(pts, 5) }
+    val search = jobsOf { KnnJoin.rounds(pts, 5, Tally.of(pts)) }
     var res: SparcleResult = null
-    assert(jobsOf { res = Sparcle.clean(pts, SparcleParams(SpatialKnn(5))) } == search)
+    // The search, then the final reduce.
+    assert(jobsOf { res = Sparcle.clean(pts, SparcleParams(SpatialKnn(5))) } == search + 1)
     assert(jobsOf(res.dm) == 0)
     assert(res.dm.columns.toSeq == Seq("r1", "r2", "v1", "v2", "dist", "w"))
   }
 
-  test("a SpatialKnn clean runs 4 jobs, and its round's collect and final reduce share one shuffle") {
-    assert(KnnJoin.rounds(pts, 5).rounds.size == 1)
-    val (jobs, tasks) = countsOf(Sparcle.clean(pts, SparcleParams(SpatialKnn(5))).repairs.collect())
-    // The statistics, the extent, the round's open-id collect and the final reduce.
-    assert(jobs == 4)
+  test("a SpatialKnn clean runs 3 jobs sharing each round's shuffle") {
+    assert(KnnJoin.rounds(pts, 5, Tally.of(pts)).rounds.size == 1)
+    val usage = usageOf(Sparcle.clean(pts, SparcleParams(SpatialKnn(5))).repairs.collect())
+    // The statistics with the extent, the round's open-id collect and the
+    // final reduce.
+    assert(usage.jobs == 3)
     // Those jobs' stages, the shuffle's map stage once: the final reduce reads
     // the map output the collect left.
-    assert(tasks.values.count(_ > 0) == 5, tasks)
+    assert(usage.tasks.values.count(_ > 0) == 4, usage)
+    assert(usage.writing == 1, usage)
   }
 
   test("ValueStats.of runs one job and writes no shuffle bytes") {
@@ -187,19 +222,19 @@ class PlanShapeSpec extends SparkSpec with Eventually {
     } finally sc.removeSparkListener(listener)
   }
 
-  test("on a 16-partition input, a clean runs 2 jobs and at most one task per core in every stage") {
-    val cores = spark.sparkContext.defaultParallelism
+  test("on a 16-partition input, a clean runs 1 job, one task per core at most") {
     val wide = spark.createDataFrame(spark.sparkContext.parallelize(pts.collect().toSeq, 16), pts.schema)
     assert(wide.rdd.getNumPartitions == 16)
-    val cleans = Seq[(String, () => SparcleResult)](
-      "SpatialRange" -> (() => Sparcle.clean(wide, SparcleParams(SpatialRange(300, PowerWeight(2))))),
-      "HoloCleanLike" -> (() => HoloCleanLike.clean(wide)))
-    for ((name, clean) <- cleans) {
-      val (jobs, tasks) = countsOf(clean().repairs.collect())
-      assert(jobs == 2, name)
-      // The value statistics, then the join's map stage and its reduce stage.
-      assert(tasks.values.count(_ > 0) == 3, s"$name: $tasks")
-      assert(tasks.values.forall(_ <= cores), s"$name: $tasks")
-    }
+    // The join's map stage and its reduce stage.
+    assertOneJob("SpatialRange", Sparcle.clean(wide, SparcleParams(SpatialRange(300, PowerWeight(2)))))
+    assertOneJob("HoloCleanLike", HoloCleanLike.clean(wide))
   }
+}
+
+object PlanShapeSpec {
+
+  /** The Spark jobs a body starts, the tasks each of their stages runs, and
+    * how many of those stages write shuffle output.
+    */
+  final case class Usage(jobs: Long, tasks: Map[Int, Int], writing: Int)
 }

@@ -4,10 +4,13 @@ import repro.{SparkSpec, TestPoints}
 
 class KnnJoinSpec extends SparkSpec {
 
-  private def run(pts: Seq[TestPoints.Pt], k: Int) =
-    KnnJoin.rounds(TestPoints.df(spark, pts), k)
-      .reduce((a, nbs, dk) => nbs.map { case (b, dist) => (a.id, b.id, a.value, b.value, dist, dk) })
+  private def run(pts: Seq[TestPoints.Pt], k: Int) = {
+    val df = TestPoints.df(spark, pts)
+    KnnJoin.rounds(df, k, Tally.of(df))
+      .reduceTasks((_, probes) => probes.flatMap { case (a, nbs, dk) =>
+        nbs.map { case (b, dist) => (a.id, b.id, a.value, b.value, dist, dk) } })
       .collect()
+  }
 
   private def asSets(rows: Seq[(Long, Long, String, String, Double, Double)]) =
     rows.map { case (r1, r2, v1, v2, d, dk) =>
@@ -112,6 +115,6 @@ class KnnJoinSpec extends SparkSpec {
 
   test("invalid arguments are rejected") {
     val pts = TestPoints.df(spark, Seq((1L, 0.0, 0.0, "a")))
-    intercept[IllegalArgumentException](KnnJoin.rounds(pts, 0))
+    intercept[IllegalArgumentException](KnnJoin.rounds(pts, 0, Tally.of(pts)))
   }
 }

@@ -97,7 +97,8 @@ class RangeJoinSpec extends SparkSpec {
 
   /** Each point's copies in `RangeJoin.cells`: its cells and its probe cells. */
   private def copiesOf(pts: Seq[TestPoints.Pt], d: Double) =
-    RangeJoin.cells(TestPoints.df(spark, pts), d).copies.collect().toSeq.groupBy(_._2.id).map { case (id, cs) =>
+    RangeJoin.cells(TestPoints.df(spark, pts), d).copies.collect().toSeq
+      .collect { case (cell, c: Copy) => (cell.asInstanceOf[(Long, Long)], c) }.groupBy(_._2.id).map { case (id, cs) =>
       id -> (cs.map(_._1).toSet, cs.filter(_._2.probe).map(_._1))
     }
 
