@@ -1,7 +1,5 @@
 package repro.cleaning
 
-import scala.math.Ordering.Double.TotalOrdering
-
 import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 
@@ -112,9 +110,16 @@ object BaranLike {
     // ---- Correction model 1: exact co-located majority vote, the top of
     // each record's exact-location histogram (votes desc, value asc).
     val bestVote = points.sparkSession.createDataset(
-      DistanceMatrix.neighbours(points, ExactLocation).reduce { (a, nbs) =>
-        new Histogram(null, nbs.map(n => (n.copy.value, n.w))).entries
-          .minByOption { case (v, votes) => (-votes, v) }.map { case (v, _) => (a.id, v) }
+      DistanceMatrix.neighbours(points, ExactLocation).reduceTasks { records =>
+        val hist = new Histogram(records.names)
+        records.probes.flatMap { a =>
+          hist.reset(-1)
+          for (i <- 0 until a.size) hist.add(a.nbCode(i), a.w(i))
+          (0 until hist.size).reduceOption { (b, i) =>
+            val c = java.lang.Double.compare(-hist.nearW(i), -hist.nearW(b))
+            if (c < 0 || c == 0 && hist.value(i).compareTo(hist.value(b)) < 0) i else b
+          }.map(b => (a.id, hist.value(b)))
+        }
       })(voteEncoder).toDF("id", "coLocated")
 
     // ---- Correction model 2: value model transferred from sampled labels.

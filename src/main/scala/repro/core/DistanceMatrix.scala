@@ -5,23 +5,17 @@ import scala.reflect.ClassTag
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Encoders}
 
-import repro.spatialjoin.{Cells, Copy, KnnJoin, RangeJoin, Tally}
-
-/** A record's neighbour under a constraint: its `copy`, distance F and weight W. */
-final case class Neighbour(copy: Copy, dist: Double, w: Double)
+import repro.spatialjoin.{Cells, KnnJoin, Probes, RangeJoin, Tally}
 
 /** A constraint's neighbour relation, not materialized. */
 trait Neighbours {
 
-  /** Per reduce task of the join: `f` of the tally of the whole input, merged
-    * in the task, and of the task's records, each with its neighbours, inside
-    * the join's loop.
+  /** Per reduce task of the join: `f` of the task's records ([[Probes]], a
+    * cursor that gives each record with its neighbours' ids, value codes,
+    * distances F and weights W, inside the join's loop) and the tally of the
+    * whole input, merged in the task.
     */
-  def reduceTasks[A: ClassTag](f: (Tally, Iterator[(Copy, Iterator[Neighbour])]) => Iterator[A]): RDD[A]
-
-  /** What `f` gives for every record with its neighbours, inside the join's loop. */
-  final def reduce[A: ClassTag](f: (Copy, Iterator[Neighbour]) => IterableOnce[A]): RDD[A] =
-    reduceTasks((_, records) => records.flatMap { case (a, nbs) => f(a, nbs) })
+  def reduceTasks[A: ClassTag](f: Probes => Iterator[A]): RDD[A]
 }
 
 /** The spatial self-join of §3.2: each r1 with every r2 that satisfies the
@@ -47,8 +41,8 @@ object DistanceMatrix {
 
   /** The rows of `neighbours`, the relation of `points`. */
   private[repro] def of(points: DataFrame, neighbours: Neighbours): DataFrame =
-    points.sparkSession.createDataset(neighbours.reduce((a, nbs) =>
-      nbs.map(n => (a.id, n.copy.id, a.value, n.copy.value, n.dist, n.w))))(rowEncoder)
+    points.sparkSession.createDataset(neighbours.reduceTasks(_.probes.flatMap(a =>
+      Iterator.range(0, a.size).map(i => (a.id, a.nbId(i), a.value, a.nbValue(i), a.dist(i), a.w(i))))))(rowEncoder)
       .toDF("r1", "r2", "v1", "v2", "dist", "w")
 
   /** The neighbour relation of `points` under `constraint`: the range join
@@ -63,24 +57,17 @@ object DistanceMatrix {
     case SpatialKnn(k, w) =>
       val rounds = KnnJoin.rounds(points, k, Tally.of(points))
       new Neighbours {
-        def reduceTasks[A: ClassTag](f: (Tally, Iterator[(Copy, Iterator[Neighbour])]) => Iterator[A]): RDD[A] = {
+        def reduceTasks[A: ClassTag](f: Probes => Iterator[A]): RDD[A] = {
           val weight = w // the closure must not capture this wrapper
           // dk = 0 happens only when all k neighbours sit at the exact same
           // location; they are perfect co-occurrences, so weight 1.
-          rounds.reduceTasks((t, probes) => f(t, probes.map { case (a, nbs, dk) =>
-            a -> nbs.iterator.map { case (b, dist) => Neighbour(b, dist, if (dk == 0) 1.0 else weight.weight(dist, dk)) }
-          }))
+          rounds.reduceTasks((dist, dk) => if (dk == 0) 1.0 else weight.weight(dist, dk))(f)
         }
       }
   }
 
   /** The neighbours of the join over `cells`, each weighed by `weigh(dist)`. */
   private def weighed(cells: Cells)(weigh: Double => Double): Neighbours = new Neighbours {
-    def reduceTasks[A: ClassTag](f: (Tally, Iterator[(Copy, Iterator[Neighbour])]) => Iterator[A]): RDD[A] = {
-      val w = weigh // the closure must not capture this wrapper
-      RangeJoin.reduceTasks(cells)((t, probes) => f(t, probes.map { case (a, bs) =>
-        a -> bs.map { case (b, dist) => Neighbour(b, dist, w(dist)) }
-      }))
-    }
+    def reduceTasks[A: ClassTag](f: Probes => Iterator[A]): RDD[A] = RangeJoin.reduceTasks(cells, weigh)(f)
   }
 }

@@ -50,7 +50,7 @@ object PaperExample {
     * rows, weighted by W, with Fig. 3b's statistics.
     */
   val Cells: Map[Long, Cell] = OrigValues.map { case (id, v) =>
-    val hist = new Histogram(v, MatrixRows.collect { case (`id`, _, _, v2, dist) => (v2, Weight.weight(dist, D)) })
+    val hist = Histogram(v, MatrixRows.collect { case (`id`, _, _, v2, dist) => (v2, Weight.weight(dist, D)) })
     id -> Sparcle.decide(id, hist, Stats, CandGenParams(), Sparcle.DefaultMargin)
   }
 }

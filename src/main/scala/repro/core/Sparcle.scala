@@ -1,13 +1,12 @@
 package repro.core
 
 import scala.jdk.CollectionConverters._
-import scala.math.Ordering.Double.TotalOrdering
 
 import org.apache.spark.sql.{DataFrame, Encoders, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
-import repro.spatialjoin.{Copy, Tally}
+import repro.spatialjoin.{Probes, Tally}
 
 /** End-to-end Sparcle configuration for one spatial functional dependency
   * (Lat, Lon) → A.
@@ -76,9 +75,11 @@ final case class Cell(id: Long, v1: String, detected: Boolean, candidates: Seq[C
   * Execution: every stage after the join reads only one cell's neighbour
   * histogram and the corpus statistics, so [[decide]] runs them all per
   * cell, reducing the constraint's `DistanceMatrix.neighbours` inside the
-  * join's loop per grid cell: over the sorted runs of cell copies behind the
-  * range or exact-location join's one shuffle (one partition per core), or
-  * in the round of the kNN join that finalizes the cell. Each run lists its
+  * join's loop: over each reduce task's copies, ordered by cell and id,
+  * behind the range or exact-location join's one shuffle (one partition
+  * per core), or in the round of the kNN join that finalizes the cell. Each
+  * record's neighbour weights are summed per value code into one
+  * [[Histogram]] reused for the task's every record. A cell lists its
   * copies by id, so every histogram sum is a function of the input alone,
   * whatever its partitioning. The statistics ride the same shuffle: each
   * reduce task merges the tallies that the join's map tasks send it into
@@ -113,9 +114,9 @@ object Sparcle {
     val neighbours = DistanceMatrix.neighbours(points, constraint)
     // Decides each record's cell in the join's loop, with the statistics
     // that its reduce task merged.
-    val cells = neighbours.reduceTasks((t, records) => decideAll(ValueStats.of(t), records, candGen, margin))
-    val outcomes = neighbours.reduceTasks { (t, records) =>
-      val stats = ValueStats.of(t)
+    val cells = neighbours.reduceTasks(records => decideAll(ValueStats.of(records.tally), records, candGen, margin))
+    val outcomes = neighbours.reduceTasks { records =>
+      val stats = ValueStats.of(records.tally)
       // A detected cell without any candidate (a null cell whose neighbours
       // are all null or absent) takes the fallback.
       val fill = fallback(stats).orNull
@@ -128,7 +129,7 @@ object Sparcle {
       }
       val sorted = ids.result()
       java.util.Arrays.sort(sorted)
-      Iterator(Outcome(repairs.result(), sorted, t.bad))
+      Iterator(Outcome(repairs.result(), sorted, records.tally.bad))
     }.collect()
     Tally.check(outcomes.iterator.map(_.bad).find(_ != null).orNull, outcomes.map(_.ids))
     val repairs = spark.createDataFrame(outcomes.iterator.flatMap(_.repairs).toSeq.asJava, repairSchema)
@@ -148,12 +149,23 @@ object Sparcle {
     */
   private final case class Outcome(repairs: Array[Row], ids: Array[Long], bad: String)
 
-  /** The [[Cell]] of each of `records`, decided with `stats`. */
-  private def decideAll(stats: ValueStats, records: Iterator[(Copy, Iterator[Neighbour])], candGen: CandGenParams,
-                        margin: Double): Iterator[Cell] =
-    records.map { case (a, nbs) =>
-      decide(a.id, new Histogram(a.value, nbs.map(n => (n.copy.value, n.w))), stats, candGen, margin)
+  /** The [[Cell]] of each of `records`, decided with `stats`: each record's
+    * neighbours' weights are summed into one [[Histogram]] reused for every
+    * record.
+    */
+  private def decideAll(stats: ValueStats, records: Probes, candGen: CandGenParams,
+                        margin: Double): Iterator[Cell] = {
+    val hist = new Histogram(records.names)
+    records.probes.map { a =>
+      hist.reset(a.code)
+      var i = 0
+      while (i < a.size) {
+        hist.add(a.nbCode(i), a.w(i))
+        i += 1
+      }
+      decide(a.id, hist, stats, candGen, margin)
     }
+  }
 
   /** `id, oldValue, newValue`: a repair always has a value. */
   private val repairSchema: StructType =
@@ -181,7 +193,12 @@ object Sparcle {
   private def correct(candidates: Seq[Candidate], label: String, margin: Double): String =
     if (label != null || candidates.isEmpty) label
     else {
-      val pick = candidates.minBy(c => (c.viol, -c.normProb, c.value))
+      var pick = candidates.head
+      for (c <- candidates) {
+        val byViol = java.lang.Double.compare(c.viol, pick.viol)
+        val byProb = java.lang.Double.compare(-c.normProb, -pick.normProb)
+        if (byViol < 0 || byViol == 0 && (byProb < 0 || byProb == 0 && c.value.compareTo(pick.value) < 0)) pick = c
+      }
       candidates.find(_.isOrig).filter(o => o.viol - pick.viol <= margin * pick.totalW)
         .getOrElse(pick).value
     }

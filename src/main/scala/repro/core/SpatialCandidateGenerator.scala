@@ -1,11 +1,11 @@
 package repro.core
 
-import scala.math.Ordering.Double.TotalOrdering
+import scala.collection.immutable.ArraySeq
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
-import repro.spatialjoin.Tally
+import repro.spatialjoin.{IndexSort, Tally}
 
 /** Parameters of the candidate generation process (§4).
   *
@@ -107,7 +107,7 @@ object SpatialCandidateGenerator {
     val err = erroneous.select("id")
     val st = stats.getOrElse(ValueStats.of(points))
     val decideOne = udf((id: Long, v1: String, nbs: Seq[Row]) => Sparcle.decide(id,
-      new Histogram(v1, Option(nbs).getOrElse(Nil).map(nb => (nb.getString(0), nb.getDouble(1)))),
+      Histogram(v1, Option(nbs).getOrElse(Nil).map(nb => (nb.getString(0), nb.getDouble(1)))),
       st, params, Sparcle.DefaultMargin))
     val nbs = dm.groupBy(col("r1").as("id")).agg(collect_list(struct("v2", "w")).as("nbs"))
     val cells = points.join(nbs, Seq("id"), "left")
@@ -120,27 +120,56 @@ object SpatialCandidateGenerator {
 
   /** Phases 1–3 for one cell with histogram `hist`: its candidates kept by
     * the MinProb cutoff, in rank order (normProb desc, value asc), and its
-    * Phase-3 label, or null.
+    * Phase-3 label, or null. Every sum runs in histogram order, and only the
+    * kept candidates are built.
     */
   def phases(hist: Histogram, stats: ValueStats, params: CandGenParams): (Seq[Candidate], String) = {
-    val totalW = hist.entries.map(_._2).sum
-    // ---- Phases 1 and 2: the weighted co-occurrence and the probability.
-    val scored = hist.entries.map { case (v, nearW) =>
-      val isOrig = v == hist.own
-      val sumW = if (nearW > 0) nearW else params.defaultWeight
-      val prior = (if (isOrig) 1.0 else params.minimalityBias) / stats.counts.getOrElse(v, 1L).toDouble
-      val prob = (sumW / stats.total.toDouble) * prior
-      val f = SpatialInputFormulator.formats(nearW, totalW)
-      Candidate(v, nearW, isOrig, sumW, prob, normProb = 0.0, totalW, f.viol, f.p, f.fg)
+    val n = hist.size
+    var totalW = 0.0
+    var i = 0
+    while (i < n) {
+      totalW += hist.nearW(i)
+      i += 1
     }
-    // ---- Phase 3: normalize, MinProb cutoff (never dropping the best
-    // candidate), MaxProb labeling.
-    val mass = scored.map(_.prob).sum
-    val ranked = scored.map(c => c.copy(normProb = c.prob / mass)).sortBy(c => (-c.normProb, c.value))
-    val kept = ranked.take(1) ++ ranked.drop(1).filter(_.normProb >= params.minProb)
-    val label = kept.headOption
-      .filter(top => kept.size == 1 || top.normProb > params.maxProb).map(_.value).orNull
-    (kept, label)
+    // ---- Phases 1 and 2: the weighted co-occurrence and the probability.
+    val sumW, prob, normProb = new Array[Double](n)
+    var mass = 0.0
+    i = 0
+    while (i < n) {
+      sumW(i) = if (hist.nearW(i) > 0) hist.nearW(i) else params.defaultWeight
+      val prior = (if (hist.isOwn(i)) 1.0 else params.minimalityBias) /
+        stats.counts.getOrElse(hist.value(i), 1L).toDouble
+      prob(i) = (sumW(i) / stats.total.toDouble) * prior
+      mass += prob(i)
+      i += 1
+    }
+    // ---- Phase 3: normalize, rank, MinProb cutoff (never dropping the
+    // best candidate), MaxProb labeling.
+    i = 0
+    while (i < n) {
+      normProb(i) = prob(i) / mass
+      i += 1
+    }
+    val rank = Array.range(0, n)
+    IndexSort.sort(rank, n, (a, b) => {
+      val c = java.lang.Double.compare(-normProb(a), -normProb(b))
+      c < 0 || c == 0 && hist.value(a).compareTo(hist.value(b)) < 0
+    })
+    val kept = Array.newBuilder[Candidate]
+    i = 0
+    while (i < n) {
+      val c = rank(i)
+      if (i == 0 || normProb(c) >= params.minProb) {
+        val f = SpatialInputFormulator.formats(hist.nearW(c), totalW)
+        kept += Candidate(hist.value(c), hist.nearW(c), hist.isOwn(c), sumW(c), prob(c), normProb(c), totalW,
+                          f.viol, f.p, f.fg)
+      }
+      i += 1
+    }
+    val candidates = ArraySeq.unsafeWrapArray(kept.result())
+    val label = if (n > 0 && (candidates.size == 1 || candidates(0).normProb > params.maxProb)) candidates(0).value
+                else null
+    (candidates, label)
   }
 
   /** One row per candidate of a per-cell frame: `id` and the [[Candidate]] columns. */

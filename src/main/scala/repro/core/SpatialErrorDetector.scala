@@ -23,7 +23,7 @@ object SpatialErrorDetector {
     * verdict needs no `r2` side, while [[erroneousCells]] reports it.
     */
   def detected(hist: Histogram): Boolean =
-    hist.own == null || hist.entries.exists(_._1 != hist.own)
+    hist.own == null || (0 until hist.size).exists(!hist.isOwn(_))
 
   /** Cells (record ids, since each pipeline run cleans one attribute) deemed
     * erroneous: both participants of a value conflict in `dm`, plus null

@@ -1,7 +1,6 @@
 package repro.spatialjoin
 
 import scala.collection.mutable.ListBuffer
-import scala.math.Ordering.Double.TotalOrdering
 import scala.reflect.ClassTag
 
 import org.apache.spark.rdd.RDD
@@ -13,30 +12,75 @@ import org.apache.spark.sql.DataFrame
   */
 private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[Set[Long]])]) {
 
-  /** Per reduce task of every round: `f` of the tally of the whole input,
-    * merged in the task, and of the probes the round finalizes, each with its
-    * k nearest neighbours (and their distance) in (dist, id) order and `dk`,
-    * the last one's distance. This is the union of every round's reduce,
+  /** Per reduce task of every round: `f` of the task's [[Nearest]], which
+    * gives the probes the round finalizes, each with its k nearest
+    * neighbours in (dist, id) order, weighed by `weigh(dist, dk)`, and the
+    * tally of the whole input. This is the union of every round's reduce,
     * which reads the round's shuffle output that its open-id collect left.
     * A probe is finalized in the first round where it has ≥ k neighbours
     * within the radius, and the last round finalizes every probe still
     * open: its radius exceeds the extent, or no probe stays open after it.
     */
-  def reduceTasks[A: ClassTag](f: (Tally, Iterator[(Copy, Seq[(Copy, Double)], Double)]) => Iterator[A]): RDD[A] = {
+  def reduceTasks[A: ClassTag](weigh: (Double, Double) => Double)(f: Nearest => Iterator[A]): RDD[A] = {
     val k = kEff
     val reduced = rounds.zipWithIndex.map { case ((cells, open), i) =>
       val last = i == rounds.size - 1
-      RangeJoin.reduceTasks(cells)((t, probes) => f(t, probes.flatMap { case (a, bs) =>
-        lazy val nbs = bs.toSeq
-        if (!open.forall(_(a.id)) || nbs.size < k && !last) None
-        else {
-          val top = nbs.sortBy { case (b, dist) => (dist, b.id) }.take(k)
-          Some((a, top, top.lastOption.fold(0.0)(_._2)))
-        }
-      }))
+      RangeJoin.reduceTasks(cells, _ => 1.0)(scan => f(new Nearest(scan, k, open, last, weigh)))
     }
     reduced.head.sparkContext.union(reduced)
   }
+}
+
+/** The probes of one reduce task of a kNN radius round that the round
+  * finalizes (see [[KnnRounds.reduceTasks]]), each with its k nearest
+  * neighbours among its neighbours in `scan`, in (dist, id) order, and
+  * `dk`, the last one's distance (0 without any).
+  */
+private[repro] final class Nearest(scan: Scan, k: Int, open: Option[Set[Long]], last: Boolean,
+                                   weigh: (Double, Double) => Double) extends Probes {
+  private val order = new Array[Int](scan.maxRun)
+  private val tmp = new Array[Int](scan.maxRun)
+  private val byDistId: (Int, Int) => Boolean = { (i, j) =>
+    val c = java.lang.Double.compare(scan.dist(i), scan.dist(j))
+    c < 0 || c == 0 && scan.nbId(i) < scan.nbId(j)
+  }
+  private var m = 0
+  var dk = 0.0
+
+  def tally: Tally = scan.tally
+
+  def names: Array[String] = scan.names
+
+  def next(): Boolean = {
+    var found = false
+    while (!found && scan.next())
+      if (open.forall(_(scan.id)) && (scan.size >= k || last)) {
+        var i = 0
+        while (i < scan.size) {
+          order(i) = i
+          i += 1
+        }
+        IndexSort.sort(order, scan.size, byDistId, tmp)
+        m = math.min(k, scan.size)
+        dk = if (m == 0) 0.0 else scan.dist(order(m - 1))
+        found = true
+      }
+    found
+  }
+
+  def id: Long = scan.id
+
+  def code: Int = scan.code
+
+  def size: Int = m
+
+  def nbId(i: Int): Long = scan.nbId(order(i))
+
+  def nbCode(i: Int): Int = scan.nbCode(order(i))
+
+  def dist(i: Int): Double = scan.dist(order(i))
+
+  def w(i: Int): Double = weigh(dist(i), dk)
 }
 
 /** k-nearest-neighbor self-join, built on [[RangeJoin]]'s loop with a
@@ -60,8 +104,10 @@ private[repro] final case class KnnRounds(kEff: Int, rounds: Seq[(Cells, Option[
   * round's closures, so every round's plan reads only the input and nothing
   * is persisted. The other, run by the consumer ([[KnnRounds.reduceTasks]]),
   * hands each finalized probe's k nearest and `dk` to the consumer's
-  * function, with the tally of the whole input that each round's shuffle
-  * carries: `DistanceMatrix.neighbours` weighs them for its reducers, the
+  * function ([[Nearest]], a cursor over the round's loop that sorts each
+  * finalized probe's neighbours by (dist, id) in a reused index buffer),
+  * with the tally of the whole input that each round's shuffle carries:
+  * `DistanceMatrix.neighbours` weighs them for its reducers, the
   * DistanceMatrix rows and `Sparcle.clean`'s per-cell kernel.
   *
   * A probe's k nearest are ordered by (dist, id), so ties are broken by id,
@@ -95,9 +141,9 @@ object KnnJoin {
       val cells = RangeJoin.cells(rows, r)
       val before = open // the closures capture this round's set, not the var
       rounds += cells -> before
-      if (r < last) open = Some(RangeJoin.reduce(cells)((a, bs) =>
-        if (before.forall(_(a.id)) && bs.take(kEff).size < kEff) Some(a.id) else None)
-        .collect().toSet)
+      if (r < last) open = Some(RangeJoin.reduceTasks(cells, _ => 1.0)(_.probes.collect {
+        case a if before.forall(_(a.id)) && a.size < kEff => a.id
+      }).collect().toSet)
     }
     KnnRounds(kEff, rounds.toSeq)
   }

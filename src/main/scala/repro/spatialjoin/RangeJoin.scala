@@ -1,6 +1,5 @@
 package repro.spatialjoin
 
-import scala.collection.mutable
 import scala.reflect.ClassTag
 
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
@@ -47,17 +46,18 @@ final case class Cells(copies: ShuffledRDD[Any, JoinRecord, JoinRecord], near: D
   * to its cell's partition, one partition per core of the job. At the end of
   * its partition, each map task sends its [[Tally]] to every reduce
   * partition: P² tallies per join (P = `defaultParallelism`), each holding
-  * at most the distinct values of one map partition. Each reduce task merges
-  * the tallies it reads into the tally of the whole input, groups the copies
-  * by cell in a hash map ([[runs]]) and takes the cells in `(cx, cy)` order,
-  * each cell's copies in id order as one run; one loop per run ([[scan]])
-  * pairs its probes with all its copies within exact Euclidean distance `d`.
-  * The grouping does not spill: a reduce task holds its whole partition,
-  * about 55 bytes per copy (the `Copy` and its buffer slot) and 100 more per
-  * cell, plus one string per distinct value of each map output it reads. The
-  * public joins emit the loop's pairs as rows; `DistanceMatrix.neighbours`
-  * and each radius round of [[KnnJoin]] reduce them inside the loop instead,
-  * and `Sparcle.clean` reads the merged tally there too.
+  * at most the distinct values of one map partition. Each reduce task is
+  * one [[Scan]]: it merges the tallies it reads into the tally of the whole
+  * input, stores the copies in primitive columns with int-coded values,
+  * orders them by `(cx, cy, id)` and runs one loop that pairs each probe
+  * with the copies of its cell within exact Euclidean distance `d`. The
+  * reduce side does not spill: a task holds its whole partition, 29 bytes
+  * per copy (id, x, y, value code and probe flag) and 4 per cell once the
+  * columns are ordered, and about 56 bytes per copy (plus 4 per cell) at
+  * its peak while it orders them. The public joins emit the loop's pairs as rows;
+  * `DistanceMatrix.neighbours` and each radius round of [[KnnJoin]] reduce
+  * them inside the loop instead, and `Sparcle.clean` reads the merged tally
+  * there too.
   *
   * Input contract ("points" frame): it starts with the columns `id: long`,
   * `x: double`, `y: double` (planar meters) and `value: string` (nullable),
@@ -115,8 +115,24 @@ object RangeJoin {
     group(rows, _ < d) { (id, x, y, value) =>
       val hx = cell(x)
       val hy = cell(y)
-      for (cx <- cell(x - d) to cell(x + d); cy <- cell(y - d) to cell(y + d))
-        yield (cx, cy) -> Copy(id, x, y, value, cx == hx && cy == hy)
+      val x0 = cell(x - d)
+      val y0 = cell(y - d)
+      // Counted loops: a cell can be Long.MaxValue.
+      val nx = cell(x + d) - x0 + 1
+      val ny = cell(y + d) - y0 + 1
+      val copies = new Array[((Long, Long), Copy)]((nx * ny).toInt)
+      var i = 0L
+      while (i < nx) {
+        var j = 0L
+        while (j < ny) {
+          val cx = x0 + i
+          val cy = y0 + j
+          copies((i * ny + j).toInt) = (cx, cy) -> Copy(id, x, y, value, cx == hx && cy == hy)
+          j += 1
+        }
+        i += 1
+      }
+      copies
     }
   }
 
@@ -154,62 +170,19 @@ object RangeJoin {
     Cells(new ShuffledRDD[Any, JoinRecord, JoinRecord](records, partitioner).setSerializer(CopySerializer), near)
   }
 
-  /** The join loop of one cell: each probe, in id order, with the cell's
-    * copies (and their distance) that pass `near`, in id order.
-    * A copy with the probe's id is not its neighbour. The distance is
-    * Spark's `sqrt(pow(dx, 2) + pow(dy, 2))`, bit for bit.
+  /** Per reduce task of `cells`: `f` of the task's [[Scan]], which gives its
+    * probes, in `(cx, cy, id)` order, each with its neighbours in id order,
+    * weighed by `weigh(dist)`, and the tally of the join's whole input.
     */
-  private def scan(ps: collection.Seq[Copy], near: Double => Boolean): Iterator[(Copy, Iterator[(Copy, Double)])] =
-    ps.iterator.filter(_.probe).map { a =>
-      a -> ps.iterator.filter(_.id != a.id)
-        .map(b => (b, math.sqrt(StrictMath.pow(a.x - b.x, 2) + StrictMath.pow(a.y - b.y, 2))))
-        .filter { case (_, dist) => near(dist) }
-    }
-
-  /** Per reduce task of `cells`: `f` of the tally of the join's whole input,
-    * merged from the map tasks' tallies that the task reads, and of the
-    * task's probes, each with its neighbours by [[scan]], in `(cx, cy, id)`
-    * order.
-    */
-  private[repro] def reduceTasks[A: ClassTag](cells: Cells)
-                                             (f: (Tally, Iterator[(Copy, Iterator[(Copy, Double)])]) => Iterator[A]): RDD[A] = {
+  private[repro] def reduceTasks[A: ClassTag](cells: Cells, weigh: Double => Double)(f: Scan => Iterator[A]): RDD[A] = {
     val near = cells.near
-    cells.copies.mapPartitions { records =>
-      val (tally, cellRuns) = runs(records)
-      f(tally, cellRuns.flatMap(scan(_, near)))
-    }
+    cells.copies.mapPartitions(records => f(new Scan(records, near, weigh)))
   }
-
-  /** What `f` gives for every probe of `cells`, by [[scan]] in each cell. */
-  private[repro] def reduce[A: ClassTag](cells: Cells)(f: (Copy, Iterator[(Copy, Double)]) => IterableOnce[A]): RDD[A] =
-    reduceTasks(cells)((_, probes) => probes.flatMap { case (a, bs) => f(a, bs) })
-
-  /** The merged tally of one partition of records, and its runs of equal
-    * cell, in `(cx, cy)` order, each in id order. Each copy the shuffle
-    * yields is kept as it is, in its cell's buffer, which starts with room
-    * for one copy: most cells of the exact-location join hold one.
-    */
-  private def runs(records: Iterator[(Any, JoinRecord)]): (Tally, Iterator[collection.Seq[Copy]]) = {
-    val byCell = mutable.HashMap.empty[(Long, Long), mutable.ArrayBuffer[Copy]]
-    val tally = new Tallier(0)
-    records.foreach {
-      case (cell, c: Copy) => byCell.getOrElseUpdate(cell.asInstanceOf[(Long, Long)], new mutable.ArrayBuffer(1)) += c
-      case (_, t: Tally)   => tally ++= t
-    }
-    (tally.result, byCell.toArray.sorted(ByCell).iterator.map(_._2.sorted(ById)))
-  }
-
-  /** Cells by `(cx, cy)`, compared without boxing the coordinates. */
-  private val ByCell: Ordering[((Long, Long), Any)] = (a, b) =>
-    if (a._1._1 != b._1._1) java.lang.Long.compare(a._1._1, b._1._1) else java.lang.Long.compare(a._1._2, b._1._2)
-
-  /** Copies by id, which is unique within a cell. */
-  private val ById: Ordering[Copy] = (a, b) => java.lang.Long.compare(a.id, b.id)
 
   private val pairEncoder = Encoders.product[Pair]
 
-  /** The pair emitter: every pair [[scan]] finds, as a row. */
+  /** The pair emitter: every pair the loop finds, as a row. */
   private def emit(points: DataFrame, cells: Cells): DataFrame =
-    points.sparkSession.createDataset(reduce(cells)((a, bs) =>
-      bs.map { case (b, dist) => Pair(a.id, b.id, a.value, b.value, dist) }))(pairEncoder).toDF()
+    points.sparkSession.createDataset(reduceTasks(cells, _ => 1.0)(_.probes.flatMap(a =>
+      Iterator.range(0, a.size).map(i => Pair(a.id, a.nbId(i), a.value, a.nbValue(i), a.dist(i))))))(pairEncoder).toDF()
 }

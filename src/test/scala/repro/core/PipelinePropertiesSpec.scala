@@ -62,6 +62,37 @@ class PipelinePropertiesSpec extends SparkSpec {
     assert(differing.forall(_._2 == 0), differing.map { case (c, n) => s"$c: $n differ" }.mkString("; "))
   }
 
+  test("repairs and candidate scores are bit-identical in 1, 3 and 16 input partitions: negative keys, ±0.0, a hotspot") {
+    // Negative coordinates give exact-location keys with negative bit
+    // patterns; a third of the background sits on a lattice, one of whose
+    // locations also holds a hotspot of 150 records; four records sit at
+    // 0.0 and −0.0, one location.
+    val background = TestPoints.random(240, 1500, 4, seed = 109, nullEvery = 7).map { case (id, x, y, v) =>
+      if (id % 3 == 0) (id, -math.floor(x / 300) * 300 - 0.5, -math.floor(y / 300) * 300, v) else (id, -x, -y, v)
+    }
+    val hotspot = (0 until 150).map(i => (1000L + i, -600.5, -900.0, Seq("v0", "v1", "v2", null)(i % 7 % 4)))
+    val zeros = Seq((2001L, 0.0, 0.0, "v0"), (2002L, -0.0, -0.0, "v0"), (2003L, 0.0, -0.0, "v3"), (2004L, -0.0, 0.0, null))
+    val raw = background ++ hotspot ++ zeros
+    val frames = Seq(1, 3, 16).map { parts =>
+      import spark.implicits._
+      spark.sparkContext.parallelize(new scala.util.Random(parts).shuffle(raw), parts).toDF("id", "x", "y", "value")
+    }
+    def scores(df: DataFrame): Seq[(Long, String, Seq[Long])] =
+      df.select("id", "value", "nearW", "sumW", "prob", "normProb", "totalW", "viol", "p", "fg").collect()
+        .map(r => (r.getLong(0), r.getString(1), (2 to 9).map(i => java.lang.Double.doubleToRawLongBits(r.getDouble(i)))))
+        .sortBy(c => (c._1, c._2)).toSeq
+    for (c <- Seq(SpatialRange(200, PowerWeight(2)), ExactLocation, SpatialKnn(5, PowerWeight(2)))) {
+      val results = frames.map(Sparcle.clean(_, SparcleParams(c)))
+      val all = results.map(r => (repairs(r.repairs), scores(r.candidates)))
+      assert(all.head._1.nonEmpty && all.head._2.nonEmpty, s"$c must repair something")
+      all.tail.foreach(r => assert(r == all.head, s"$c"))
+      if (c == ExactLocation) {
+        val flagged = results.head.erroneous.collect().map(_.getLong(0)).toSet
+        assert(Set(2001L, 2002L, 2003L).subsetOf(flagged), "0.0 and -0.0 are one location")
+      }
+    }
+  }
+
   test("repairs touch only erroneous cells") {
     val pts = TestPoints.df(spark, sample(105L))
     def ids(df: DataFrame): Set[Long] = df.select("id").collect().map(_.getLong(0)).toSet

@@ -23,7 +23,7 @@ class ValueStatsSpec extends SparkSpec with PropHelpers {
 
   /** The statistics every reduce task of `points`' join under `c` merges. */
   private def merged(points: DataFrame, c: SpatialConstraint): Seq[ValueStats] =
-    DistanceMatrix.neighbours(points, c).reduceTasks((t, _) => Iterator(ValueStats.of(t))).collect().toSeq
+    DistanceMatrix.neighbours(points, c).reduceTasks(records => Iterator(ValueStats.of(records.tally))).collect().toSeq
 
   private def assertMergedAsOf(pts: Seq[TestPoints.Pt]): Unit =
     for (partitions <- Seq(1, 7, 16)) {

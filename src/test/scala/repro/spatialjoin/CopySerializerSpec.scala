@@ -129,9 +129,9 @@ class CopySerializerSpec extends SparkSpec {
   }
 
   test("copies written by several map tasks reach the loop in (cx, cy, id) order") {
-    val seen = RangeJoin.reduce(RangeJoin.shuffle(loopInput, _ == 0.0)) {
-      (a, bs) => Some((a.value, a.id, bs.map(_._1.id).toList))
-    }.glom().collect()
+    val seen = RangeJoin.reduceTasks(RangeJoin.shuffle(loopInput, _ == 0.0), _ => 1.0)(_.probes.map {
+      a => (a.value, a.id, List.tabulate(a.size)(a.nbId))
+    }).glom().collect()
     assertLoopOrder(seen)
   }
 
@@ -146,8 +146,8 @@ class CopySerializerSpec extends SparkSpec {
       val tallies = Iterator.tabulate(reducers)(to => (to, sent(i)))
       if (i % 2 == 0) tallies ++ copies else copies ++ tallies
     }
-    val reduced = RangeJoin.reduceTasks(RangeJoin.shuffle(input, _ == 0.0)) { (t, probes) =>
-      Iterator(t -> probes.map { case (a, bs) => (a.value, a.id, bs.map(_._1.id).toList) }.toArray)
+    val reduced = RangeJoin.reduceTasks(RangeJoin.shuffle(input, _ == 0.0), _ => 1.0) { probes =>
+      Iterator(probes.tally -> probes.probes.map(a => (a.value, a.id, List.tabulate(a.size)(a.nbId))).toArray)
     }.collect()
     assert(reduced.length == reducers)
     for ((t, _) <- reduced) {

@@ -7,8 +7,8 @@ class KnnJoinSpec extends SparkSpec {
   private def run(pts: Seq[TestPoints.Pt], k: Int) = {
     val df = TestPoints.df(spark, pts)
     KnnJoin.rounds(df, k, Tally.of(df))
-      .reduceTasks((_, probes) => probes.flatMap { case (a, nbs, dk) =>
-        nbs.map { case (b, dist) => (a.id, b.id, a.value, b.value, dist, dk) } })
+      .reduceTasks((_, _) => 1.0)(_.probes.flatMap { a =>
+        List.tabulate(a.size)(i => (a.id, a.nbId(i), a.value, a.nbValue(i), a.dist(i), a.dk)) })
       .collect()
   }
 
