@@ -1,7 +1,9 @@
 package repro.spatialjoin
 
+import scala.collection.mutable
 import scala.reflect.ClassTag
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.{RDD, ShuffledRDD}
 import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.catalyst.InternalRow
@@ -10,11 +12,53 @@ import org.apache.spark.sql.types.{DoubleType, LongType, StringType}
 /** A pair of the join: `r2` lies within the distance of probe `r1`. */
 final case class Pair(r1: Long, r2: Long, v1: String, v2: String, dist: Double)
 
-/** A join's copies, shuffled by grid cell `(cx, cy)` with the map tasks'
-  * tallies (keyed by the reduce partition each goes to), and its distance
-  * test.
+/** One map task's copies of points for one reduce partition, in primitive
+  * columns: copy `i` lies in grid cell `(cx(i), cy(i))` and is point
+  * `id(i)` at `(x(i), y(i))` with value `names(code(i))` (code −1: null),
+  * the point's probe if `probe(i)`. `names` is the map task's value
+  * dictionary, every value its `tally` counts, each once.
   */
-final case class Cells(copies: ShuffledRDD[Any, JoinRecord, JoinRecord], near: Double => Boolean)
+private[repro] final case class Block(cx: Array[Long], cy: Array[Long], id: Array[Long], x: Array[Double],
+                                      y: Array[Double], code: Array[Int], probe: Array[Boolean], names: Array[String],
+                                      tally: Tally)
+
+/** One map task's copies, bucketed by the reduce partition of their cell
+  * into growable primitive columns, one bucket per partition.
+  */
+private[repro] final class Buckets(reducers: Int) {
+  private final class Bucket {
+    val cx, cy, id = new mutable.ArrayBuilder.ofLong
+    val x, y = new mutable.ArrayBuilder.ofDouble
+    val code = new mutable.ArrayBuilder.ofInt
+    val probe = new mutable.ArrayBuilder.ofBoolean
+  }
+
+  private val buckets = Array.fill(reducers)(new Bucket)
+
+  def add(cx: Long, cy: Long, id: Long, x: Double, y: Double, code: Int, probe: Boolean): Unit = {
+    val b = buckets(RangeJoin.partition(cx, cy, reducers))
+    b.cx.addOne(cx)
+    b.cy.addOne(cy)
+    b.id.addOne(id)
+    b.x.addOne(x)
+    b.y.addOne(y)
+    b.code.addOne(code)
+    b.probe.addOne(probe)
+  }
+
+  /** Every reduce partition's block, keyed by its index, with the map task's
+    * dictionary and tally; each bucket is dropped once its block is made.
+    */
+  def blocks(names: Array[String], tally: Tally): Iterator[(Int, Block)] = Iterator.tabulate(reducers) { to =>
+    val b = buckets(to)
+    buckets(to) = null
+    to -> Block(b.cx.result(), b.cy.result(), b.id.result(), b.x.result(), b.y.result(), b.code.result(),
+                b.probe.result(), names, tally)
+  }
+}
+
+/** A join's blocks, shuffled by reduce partition, and its distance test. */
+private[repro] final case class Cells(blocks: ShuffledRDD[Int, Block, Block], near: Double => Boolean)
 
 /** Grid-binned spatial distance self-join.
   *
@@ -39,22 +83,27 @@ final case class Cells(copies: ShuffledRDD[Any, JoinRecord, JoinRecord], near: D
   *
   * The join is one RDD shuffle. Its map tasks, at most one per core, read
   * the input's internal rows ([[rows]]), check each against the points
-  * contract and count its value ([[Tallier]]), and make the copies of each
-  * valid row; a row that breaks the contract gets none. The
-  * [[CopySerializer]] writes each copy as a fixed-layout record
-  * `(cx, cy, id, x, y, value, probe)`, and the [[CellPartitioner]] sends it
-  * to its cell's partition, one partition per core of the job. At the end of
-  * its partition, each map task sends its [[Tally]] to every reduce
-  * partition: P² tallies per join (P = `defaultParallelism`), each holding
-  * at most the distinct values of one map partition. Each reduce task is
-  * one [[Scan]]: it merges the tallies it reads into the tally of the whole
-  * input, stores the copies in primitive columns with int-coded values,
-  * orders them by `(cx, cy, id)` and runs one loop that pairs each probe
-  * with the copies of its cell within exact Euclidean distance `d`. The
-  * reduce side does not spill: a task holds its whole partition, 29 bytes
-  * per copy (id, x, y, value code and probe flag) and 4 per cell once the
-  * columns are ordered, and about 56 bytes per copy (plus 4 per cell) at
-  * its peak while it orders them. The public joins emit the loop's pairs as rows;
+  * contract and count its value, coding it by the task's own dictionary
+  * ([[Tallier]]), and make the copies of each valid row; a row that breaks
+  * the contract gets none. A copy goes to the reduce partition of its cell
+  * (a mixed hash of `(cx, cy)`, one partition per core of the job): each map
+  * task fills one bucket of primitive columns per reduce partition
+  * ([[Buckets]]), with no object per copy, and at the end of its partition
+  * sends each reduce partition one [[Block]]: the bucket's columns with the
+  * task's dictionary and [[Tally]]. That is P² blocks per join
+  * (P = `defaultParallelism`), keyed by the reduce partition's index under
+  * Spark's `HashPartitioner` and written by the context's serializer. A map
+  * task holds its partition's copies, about 45 bytes each plus the builders'
+  * slack, until it writes them. Each reduce task is one [[Scan]]: it merges
+  * its blocks' tallies into the tally of the whole input, recodes each
+  * block's values to the merged tally's sorted values, concatenates the
+  * blocks into columns, orders them by `(cx, cy, id)` and runs one loop
+  * that pairs each probe with the copies of its cell within exact Euclidean
+  * distance `d`. The reduce side does not spill: a task holds its whole
+  * partition, 29 bytes per copy (id, x, y, value code and probe flag) and 4
+  * per cell once the columns are ordered, and at its peak, while it
+  * concatenates, its blocks and the concatenated columns, 45 bytes per copy
+  * each. The public joins emit the loop's pairs as rows;
   * `DistanceMatrix.neighbours` and each radius round of [[KnnJoin]] reduce
   * them inside the loop instead, and `Sparcle.clean` reads the merged tally
   * there too.
@@ -112,7 +161,7 @@ object RangeJoin {
     require(d > 0, s"range distance must be positive, got $d")
     val side = 2 * d
     def cell(c: Double): Long = math.floor(c / side).toLong
-    group(rows, _ < d) { (id, x, y, value) =>
+    group(rows, _ < d) { (id, x, y, code, out) =>
       val hx = cell(x)
       val hy = cell(y)
       val x0 = cell(x - d)
@@ -120,19 +169,17 @@ object RangeJoin {
       // Counted loops: a cell can be Long.MaxValue.
       val nx = cell(x + d) - x0 + 1
       val ny = cell(y + d) - y0 + 1
-      val copies = new Array[((Long, Long), Copy)]((nx * ny).toInt)
       var i = 0L
       while (i < nx) {
         var j = 0L
         while (j < ny) {
           val cx = x0 + i
           val cy = y0 + j
-          copies((i * ny + j).toInt) = (cx, cy) -> Copy(id, x, y, value, cx == hx && cy == hy)
+          out.add(cx, cy, id, x, y, code, cx == hx && cy == hy)
           j += 1
         }
         i += 1
       }
-      copies
     }
   }
 
@@ -142,32 +189,40 @@ object RangeJoin {
     */
   private[repro] def locations(points: DataFrame): Cells = {
     def bits(c: Double): Long = java.lang.Double.doubleToLongBits(c + 0.0)
-    group(rows(points), _ == 0.0)((id, x, y, value) => Some((bits(x), bits(y)) -> Copy(id, x, y, value, probe = true)))
+    group(rows(points), _ == 0.0)((id, x, y, code, out) => out.add(bits(x), bits(y), id, x, y, code, probe = true))
   }
 
-  /** The copies of each valid row's `id, x, y, value`, by `copies`, and each
-    * map task's tally of its rows ([[Tallier]]), sent to every reduce
-    * partition after its copies, shuffled.
+  /** The reduce partition, of `reducers`, of cell `(cx, cy)`: MurmurHash3's
+    * 64-bit finalizer over the two coordinates, so neighbouring cells spread.
+    */
+  private[spatialjoin] def partition(cx: Long, cy: Long, reducers: Int): Int = {
+    var h = cx * 0x9e3779b97f4a7c15L + cy
+    h = (h ^ (h >>> 33)) * 0xff51afd7ed558ccdL
+    h = (h ^ (h >>> 33)) * 0xc4ceb9fe1a85ec53L
+    java.lang.Math.floorMod(h ^ (h >>> 33), reducers.toLong).toInt
+  }
+
+  /** The blocks of each map task: `copies` of each valid row's id,
+    * coordinates and value code into the task's [[Buckets]], and the task's
+    * tally of its rows ([[Tallier]]), shuffled.
     */
   private def group(rows: RDD[InternalRow], near: Double => Boolean)
-                   (copies: (Long, Double, Double, String) => IterableOnce[((Long, Long), Copy)]): Cells = {
+                   (copies: (Long, Double, Double, Int, Buckets) => Unit): Cells = {
     val reducers = rows.sparkContext.defaultParallelism
     shuffle(rows.mapPartitionsWithIndex { (part, rs) =>
       val tally = new Tallier(part)
-      rs.flatMap(r => tally.add(r)(copies)) ++ {
-        val t = tally.result
-        Iterator.tabulate(reducers)(to => (to, t))
-      }
+      val out = new Buckets(reducers)
+      rs.foreach(r => tally.add(r)((id, x, y, code) => copies(id, x, y, code, out)))
+      out.blocks(tally.names, tally.result)
     }, near)
   }
 
-  /** The join's one shuffle: `records`, copies keyed by cell and tallies by
-    * the reduce partition they go to, into one partition per core of the
-    * job (`defaultParallelism`).
+  /** The join's one shuffle: `blocks`, keyed by the reduce partition each
+    * goes to, into one partition per core of the job (`defaultParallelism`).
     */
-  private[repro] def shuffle(records: RDD[_ <: Product2[Any, JoinRecord]], near: Double => Boolean): Cells = {
-    val partitioner = new CellPartitioner(records.sparkContext.defaultParallelism)
-    Cells(new ShuffledRDD[Any, JoinRecord, JoinRecord](records, partitioner).setSerializer(CopySerializer), near)
+  private[repro] def shuffle(blocks: RDD[(Int, Block)], near: Double => Boolean): Cells = {
+    val reducers = blocks.sparkContext.defaultParallelism
+    Cells(new ShuffledRDD[Int, Block, Block](blocks, new HashPartitioner(reducers)), near)
   }
 
   /** Per reduce task of `cells`: `f` of the task's [[Scan]], which gives its
@@ -176,7 +231,7 @@ object RangeJoin {
     */
   private[repro] def reduceTasks[A: ClassTag](cells: Cells, weigh: Double => Double)(f: Scan => Iterator[A]): RDD[A] = {
     val near = cells.near
-    cells.copies.mapPartitions(records => f(new Scan(records, near, weigh)))
+    cells.blocks.mapPartitions(blocks => f(new Scan(blocks.map(_._2), near, weigh)))
   }
 
   private val pairEncoder = Encoders.product[Pair]

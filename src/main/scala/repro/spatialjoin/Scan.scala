@@ -49,28 +49,28 @@ private[repro] abstract class Probes {
   final def probes: Iterator[this.type] = Iterator.continually[this.type](this).takeWhile(_.next())
 }
 
-/** The join loop of one reduce task, over the copies and tallies that the
-  * task reads (`records`, as the join's shuffle yields them).
+/** The join loop of one reduce task, over the blocks that the task reads
+  * (`blocks`, one from each map task, as the join's shuffle yields them).
   *
-  * The copies' fields go into primitive columns as they are read; each
-  * `Copy` is dropped once they are stored. The values are coded by the
-  * sorted value set of the merged tally (with any value the copies carry
-  * that the tallies do not, which the join's own map tasks never send), so
-  * the codes depend only on the input. The copies are then ordered by
+  * The blocks' tallies merge into the tally of the whole input. The values
+  * are coded by the merged tally's sorted value set, so the codes depend
+  * only on the input; each block's own codes are mapped to those by a
+  * binary search of its dictionary's values. The blocks' columns are
+  * concatenated, each block dropped once it is copied, then ordered by
   * `(cx, cy, id)`, by a sort of an index permutation ([[IndexSort]]), and
-  * the columns rebuilt in that order at their exact size, without the cell
-  * keys: a run of equal cell is a range of columns. Each probe, in that
-  * order, is tested against every copy of its run, the probe's own id
-  * excluded, at distance `sqrt(dx * dx + dy * dy)` (the bits of Spark's
+  * rebuilt in that order at their exact size, without the cell keys: a run
+  * of equal cell is a range of columns. Each probe, in that order, is
+  * tested against every copy of its run, the probe's own id excluded, at
+  * distance `sqrt(dx * dx + dy * dy)` (the bits of Spark's
   * `sqrt(pow(dx, 2) + pow(dy, 2))`: `StrictMath.pow(v, 2)` is `v * v`);
   * the copies that pass `near` are its neighbours, in id order.
   *
   * @param weigh a neighbour's weight from its distance ([[Probes.w]])
   */
-private[repro] final class Scan(records: Iterator[(Any, JoinRecord)], near: Double => Boolean,
+private[repro] final class Scan(blocks: Iterator[Block], near: Double => Boolean,
                                 weigh: Double => Double) extends Probes {
 
-  val (tally, names, ids, xs, ys, codes, isProbe, runStart) = Scan.columns(records)
+  val (tally, names, ids, xs, ys, codes, isProbe, runStart) = Scan.columns(blocks)
 
   /** The length of the longest run. */
   val maxRun: Int = {
@@ -137,183 +137,60 @@ private[repro] final class Scan(records: Iterator[(Any, JoinRecord)], near: Doub
 
 private object Scan {
 
-  /** Copies per chunk of [[Read]]: a copy `i` is at `i >>> Shift`, offset `i & (Chunk - 1)`. */
-  private val Shift = 12
-  private val Chunk = 1 << Shift
-
-  /** The copies' fields, as the shuffle yields them, in chunks of [[Chunk]]
-    * copies, so that reading writes each slot once and copies no grown
-    * array; the values numbered in the order they are met (`seen`); and the
-    * merged tally. Each later step reads the chunks where they are, and the
-    * steps that build the ordered columns drop each field group's chunks
-    * once they have read them. Each step is its own small method, so the
-    * JIT compiles it.
+  /** The merged tally, its sorted values, and the columns of `blocks` in
+    * `(cx, cy, id)` order at their exact size, with each run's start and the
+    * end of the last.
     */
-  private final class Read {
-    var n = 0
-    private var keys = mutable.ArrayBuffer.empty[Array[Long]] // cx, cy, id
-    private var xys = mutable.ArrayBuffer.empty[Array[Long]] // x and y as raw bits
-    private var vps = mutable.ArrayBuffer.empty[Array[Int]] // the value's number in `seen` (−1: null) × 2, + 1 for a probe
-    private var key, xy: Array[Long] = null
-    private var vp: Array[Int] = null
-    val seen = mutable.ArrayBuffer.empty[String]
-    /** A value's number, by the string instance: the deserializer shares
-      * one instance per value and map output, so `seen` may list a value a
-      * few times, each with its own number.
-      */
-    private val number = new java.util.IdentityHashMap[String, Integer]
-    val tallier = new Tallier(0)
-
-    def add(cell: (Long, Long), c: Copy): Unit = {
-      val i = n & (Chunk - 1)
-      if (i == 0) {
-        key = new Array[Long](3 * Chunk)
-        xy = new Array[Long](2 * Chunk)
-        vp = new Array[Int](Chunk)
-        keys += key
-        xys += xy
-        vps += vp
-      }
-      key(3 * i) = cell._1
-      key(3 * i + 1) = cell._2
-      key(3 * i + 2) = c.id
-      xy(2 * i) = java.lang.Double.doubleToRawLongBits(c.x)
-      xy(2 * i + 1) = java.lang.Double.doubleToRawLongBits(c.y)
-      vp(i) = (if (c.value == null) -1 else numbered(c.value)) * 2 + (if (c.probe) 1 else 0)
-      n += 1
-    }
-
-    private def numbered(v: String): Int = {
-      val known = number.get(v)
-      if (known != null) known.intValue
-      else {
-        number.put(v, seen.size)
-        seen += v
-        seen.size - 1
-      }
-    }
-
-    /** The copies' indices in `(cx, cy, id)` order. */
-    def order(): Array[Int] = {
-      key = null
-      xy = null
-      vp = null
-      val k = keys.toArray
-      val order = Array.range(0, n)
-      IndexSort.sort(order, n, { (i, j) =>
-        val ki = k(i >>> Shift)
-        val kj = k(j >>> Shift)
-        val a = 3 * (i & (Chunk - 1))
-        val b = 3 * (j & (Chunk - 1))
-        if (ki(a) != kj(b)) ki(a) < kj(b)
-        else if (ki(a + 1) != kj(b + 1)) ki(a + 1) < kj(b + 1)
-        else ki(a + 2) < kj(b + 2)
-      })
-      order
-    }
-
-    /** The start of each run of equal `(cx, cy)` in `order`, and its end. */
-    def starts(order: Array[Int]): Array[Int] = {
-      val k = keys.toArray
-      def newRun(i: Int): Boolean = i == 0 || {
-        val ka = k(order(i) >>> Shift)
-        val kb = k(order(i - 1) >>> Shift)
-        val a = 3 * (order(i) & (Chunk - 1))
-        val b = 3 * (order(i - 1) & (Chunk - 1))
-        ka(a) != kb(b) || ka(a + 1) != kb(b + 1)
-      }
-      var runs = 0
+  def columns(blocks: Iterator[Block]) = {
+    val bs = blocks.toArray
+    val tally = Tally.merge(bs.map(_.tally))
+    val names = tally.counts.keys.toArray.sorted
+    val n = bs.iterator.map(_.id.length).sum
+    val cx, cy, id = new Array[Long](n)
+    val x, y = new Array[Double](n)
+    val code = new Array[Int](n)
+    val probe = new Array[Boolean](n)
+    var at = 0
+    for (k <- bs.indices) {
+      val b = bs(k)
+      bs(k) = null
+      val m = b.id.length
+      System.arraycopy(b.cx, 0, cx, at, m)
+      System.arraycopy(b.cy, 0, cy, at, m)
+      System.arraycopy(b.id, 0, id, at, m)
+      System.arraycopy(b.x, 0, x, at, m)
+      System.arraycopy(b.y, 0, y, at, m)
+      System.arraycopy(b.probe, 0, probe, at, m)
+      val recode = b.names.map(v => java.util.Arrays.binarySearch(names.asInstanceOf[Array[AnyRef]], v))
+      assert(recode.forall(_ >= 0), "a block's values are counted by its tally")
       var i = 0
-      while (i < n) {
-        if (newRun(i)) runs += 1
+      while (i < m) {
+        code(at + i) = if (b.code(i) < 0) -1 else recode(b.code(i))
         i += 1
       }
-      val starts = new Array[Int](runs + 1)
-      runs = 0
-      i = 0
-      while (i < n) {
-        if (newRun(i)) {
-          starts(runs) = i
-          runs += 1
-        }
-        i += 1
-      }
-      starts(runs) = n
-      starts
+      at += m
     }
-
-    /** The ids in `order`; drops the keys. */
-    def ids(order: Array[Int]): Array[Long] = {
-      val k = keys.toArray
-      keys = null
-      val ids = new Array[Long](n)
-      var i = 0
-      while (i < n) {
-        val j = order(i)
-        ids(i) = k(j >>> Shift)(3 * (j & (Chunk - 1)) + 2)
-        i += 1
-      }
-      ids
+    val order = Array.range(0, n)
+    IndexSort.sort(order, n, (i, j) =>
+      if (cx(i) != cx(j)) cx(i) < cx(j) else if (cy(i) != cy(j)) cy(i) < cy(j) else id(i) < id(j))
+    val runStart = new mutable.ArrayBuilder.ofInt
+    val ids = new Array[Long](n)
+    val xs, ys = new Array[Double](n)
+    val codes = new Array[Int](n)
+    val isProbe = new Array[Boolean](n)
+    var i = 0
+    while (i < n) {
+      val j = order(i)
+      if (i == 0 || cx(j) != cx(order(i - 1)) || cy(j) != cy(order(i - 1))) runStart.addOne(i)
+      ids(i) = id(j)
+      xs(i) = x(j)
+      ys(i) = y(j)
+      codes(i) = code(j)
+      isProbe(i) = probe(j)
+      i += 1
     }
-
-    /** The x and y columns in `order`; drops the coordinates' chunks. */
-    def coordinates(order: Array[Int]): (Array[Double], Array[Double]) = {
-      val c = xys.toArray
-      xys = null
-      val xs, ys = new Array[Double](n)
-      var i = 0
-      while (i < n) {
-        val j = order(i)
-        val at = 2 * (j & (Chunk - 1))
-        xs(i) = java.lang.Double.longBitsToDouble(c(j >>> Shift)(at))
-        ys(i) = java.lang.Double.longBitsToDouble(c(j >>> Shift)(at + 1))
-        i += 1
-      }
-      (xs, ys)
-    }
-
-    /** The value codes, by the code of each number in `seen`, and the probe
-      * flags, in `order`; drops the chunks of both.
-      */
-    def codesAndProbes(order: Array[Int], code: Array[Int]): (Array[Int], Array[Boolean]) = {
-      val c = vps.toArray
-      vps = null
-      val codes = new Array[Int](n)
-      val isProbe = new Array[Boolean](n)
-      var i = 0
-      while (i < n) {
-        val j = order(i)
-        val f = c(j >>> Shift)(j & (Chunk - 1))
-        val v = f >> 1
-        codes(i) = if (v < 0) -1 else code(v)
-        isProbe(i) = (f & 1) == 1
-        i += 1
-      }
-      (codes, isProbe)
-    }
-  }
-
-  /** The tally, the sorted values, and the columns in `(cx, cy, id)` order at
-    * their exact size, with each run's start and the end of the last. The
-    * steps run in the order that keeps the fewest bytes alive at once: the
-    * keys are dropped before the coordinates are reordered, and those
-    * before the values are.
-    */
-  def columns(records: Iterator[(Any, JoinRecord)]) = {
-    val r = new Read
-    records.foreach {
-      case (cell, c: Copy) => r.add(cell.asInstanceOf[(Long, Long)], c)
-      case (_, t: Tally)   => r.tallier ++= t
-    }
-    val tally = r.tallier.result
-    val names = (tally.counts.keysIterator ++ r.seen).toArray.distinct.sorted
-    val code = r.seen.map(v => java.util.Arrays.binarySearch(names.asInstanceOf[Array[AnyRef]], v)).toArray
-    val order = r.order()
-    val runStart = r.starts(order)
-    val ids = r.ids(order)
-    val (xs, ys) = r.coordinates(order)
-    val (codes, isProbe) = r.codesAndProbes(order, code)
-    (tally, names, ids, xs, ys, codes, isProbe, runStart)
+    runStart.addOne(n)
+    (tally, names, ids, xs, ys, codes, isProbe, runStart.result())
   }
 }
 

@@ -5,14 +5,6 @@ import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
 
-/** A record of the join's one shuffle: a point's [[Copy]] in a grid cell, or
-  * a map task's [[Tally]] of its input partition.
-  */
-sealed trait JoinRecord
-
-/** A point's copy in a grid cell; the copy in its home cell is its `probe`. */
-final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Boolean) extends JoinRecord
-
 /** A tally of points rows: the `records` that meet the points contract, their
   * extent (`x0` to `x1`, `y0` to `y1`; infinite bounds when there are none)
   * and the count of each non-null value among them, and the first row that
@@ -20,7 +12,7 @@ final case class Copy(id: Long, x: Double, y: Double, value: String, probe: Bool
   * partition `part`; a merged tally has `part` 0.
   */
 final case class Tally(part: Int, records: Long, x0: Double, x1: Double, y0: Double, y1: Double,
-                       counts: Map[String, Long], bad: String) extends JoinRecord
+                       counts: Map[String, Long], bad: String)
 
 object Tally {
 
@@ -42,9 +34,11 @@ object Tally {
   def of(points: DataFrame): Tally = {
     val parts = RangeJoin.rows(points).mapPartitionsWithIndex { (part, rows) =>
       val t = new Tallier(part)
-      val ids = rows.flatMap(r => t.add(r)((id, _, _, _) => Some(id))).toArray
-      java.util.Arrays.sort(ids)
-      Iterator((t.result, ids))
+      val ids = new mutable.ArrayBuilder.ofLong
+      rows.foreach(r => t.add(r)((id, _, _, _) => ids.addOne(id)))
+      val sorted = ids.result()
+      java.util.Arrays.sort(sorted)
+      Iterator((t.result, sorted))
     }.collect()
     val tally = merge(parts.map(_._1))
     check(tally.bad, parts.map(_._2))
@@ -68,7 +62,8 @@ object Tally {
 
 /** Tallies the rows of input partition `part`, or the tallies of other rows,
   * into one [[Tally]]. Its [[add]] is the points contract's one per-row check:
-  * a non-null `id` and finite `x` and `y`.
+  * a non-null `id` and finite `x` and `y`. It codes the values it counts by
+  * the order it meets them in: a value's code is its index in [[names]].
   */
 private[repro] final class Tallier(part: Int) {
   private var records = 0L
@@ -76,33 +71,37 @@ private[repro] final class Tallier(part: Int) {
   private var x1 = Double.NegativeInfinity
   private var y0 = Double.PositiveInfinity
   private var y1 = Double.NegativeInfinity
-  private val counts = mutable.HashMap.empty[String, Long]
+  /** Each value's code and count, in code order. */
+  private val counts = mutable.LinkedHashMap.empty[String, Tallier.Count]
   private var bad: String = null
   private var badPart = Int.MaxValue
 
   /** If row `r` (`id, x, y, value`) meets the points contract, counts it and
-    * gives `f` of its fields; otherwise notes it, if it is the first bad row,
-    * and gives nothing.
+    * calls `f` with its id, coordinates and value code (−1: null);
+    * otherwise notes it, if it is the first bad row.
     */
-  def add[A](r: InternalRow)(f: (Long, Double, Double, String) => IterableOnce[A]): IterableOnce[A] = {
+  def add(r: InternalRow)(f: (Long, Double, Double, Int) => Unit): Unit = {
     def finite(i: Int) = !r.isNullAt(i) && r.getDouble(i).isFinite
     def show(i: Int) = if (r.isNullAt(i)) "null" else r.getDouble(i).toString
-    if (r.isNullAt(0)) { note(part, s"null id (x=${show(1)}, y=${show(2)})"); Nil }
-    else if (!finite(1) || !finite(2)) {
-      note(part, s"id ${r.getLong(0)}: non-finite coordinates (${show(1)}, ${show(2)})")
-      Nil
-    } else {
+    if (r.isNullAt(0)) note(part, s"null id (x=${show(1)}, y=${show(2)})")
+    else if (!finite(1) || !finite(2)) note(part, s"id ${r.getLong(0)}: non-finite coordinates (${show(1)}, ${show(2)})")
+    else {
       val x = r.getDouble(1)
       val y = r.getDouble(2)
-      val value = if (r.isNullAt(3)) null else r.getUTF8String(3).toString
       records += 1
       x0 = math.min(x0, x)
       x1 = math.max(x1, x)
       y0 = math.min(y0, y)
       y1 = math.max(y1, y)
-      if (value != null) counts(value) = counts.getOrElse(value, 0L) + 1
-      f(r.getLong(0), x, y, value)
+      f(r.getLong(0), x, y, if (r.isNullAt(3)) -1 else count(r.getUTF8String(3).toString, 1))
     }
+  }
+
+  /** Adds `n` to the count of `value`, and gives its code. */
+  private def count(value: String, n: Long): Int = {
+    val c = counts.getOrElseUpdate(value, new Tallier.Count(counts.size))
+    c.n += n
+    c.code
   }
 
   /** Adds the rows of tally `t`. */
@@ -112,7 +111,7 @@ private[repro] final class Tallier(part: Int) {
     x1 = math.max(x1, t.x1)
     y0 = math.min(y0, t.y0)
     y1 = math.max(y1, t.y1)
-    t.counts.foreach { case (v, n) => counts(v) = counts.getOrElse(v, 0L) + n }
+    t.counts.foreach { case (v, n) => count(v, n) }
     if (t.bad != null) note(t.part, t.bad)
     this
   }
@@ -124,5 +123,14 @@ private[repro] final class Tallier(part: Int) {
       badPart = p
     }
 
-  def result: Tally = Tally(part, records, x0, x1, y0, y1, counts.toMap, bad)
+  /** The values counted so far, by code. */
+  def names: Array[String] = counts.keysIterator.toArray
+
+  def result: Tally = Tally(part, records, x0, x1, y0, y1, counts.iterator.map { case (v, c) => v -> c.n }.toMap, bad)
+}
+
+private object Tallier {
+  final class Count(val code: Int) {
+    var n = 0L
+  }
 }

@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.AtomicLong
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.ShuffleDependency
+import org.apache.spark.{HashPartitioner, ShuffleDependency, SparkEnv}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
@@ -20,10 +20,11 @@ import org.scalatest.time.{Seconds, Span}
 
 import repro.{SparkSpec, TestPoints}
 import repro.cleaning.HoloCleanLike
-import repro.spatialjoin.{CellPartitioner, CopySerializer, KnnJoin, Tally}
+import repro.spatialjoin.{Block, KnnJoin, Tally}
 
 /** The physical shape of a `clean` call: the spatial join is its only
-  * shuffle, an RDD shuffle of copies keyed by grid cell, and a range or
+  * shuffle, an RDD shuffle of blocks of copies keyed by the reduce partition
+  * of their grid cells, and a range or
   * exact-location call runs that join as its one job, whose map tasks also
   * tally the value statistics. The repairs a call returns are local; the
   * lazy frames read the per-cell output of the same shuffle. No frame's SQL
@@ -105,9 +106,14 @@ class PlanShapeSpec extends SparkSpec with Eventually {
       for (frame <- Seq(r.erroneous, r.candidates, r.labels))
         shuffles(frame) match {
           case Seq(s) =>
-            assert(s.partitioner == new CellPartitioner(cores), name)
+            assert(s.partitioner == new HashPartitioner(cores), name)
             assert(s.partitioner.numPartitions == cores, name)
-            assert(s.serializer eq CopySerializer, name)
+            // Each map task sends one block to each reduce partition, keyed by its index.
+            val sent = s.rdd.asInstanceOf[RDD[Product2[Any, Any]]].map(r => (r._1, r._2.getClass.getName)).collect()
+            assert(sent.map(_._1).toSeq.sortBy(_.asInstanceOf[Int]) ==
+                     (0 until cores).flatMap(to => Seq.fill(s.rdd.getNumPartitions)(to)), name)
+            assert(sent.forall(_._2 == classOf[Block].getName), name)
+            assert(s.serializer eq SparkEnv.get.serializer, name)
           case other => fail(s"$name: expected one shuffle by grid cell, got $other")
         }
     }
@@ -122,7 +128,7 @@ class PlanShapeSpec extends SparkSpec with Eventually {
     assert(sqlOperators(r.dm).isEmpty)
     val deps = shuffles(r.dm)
     assert(deps.nonEmpty)
-    deps.foreach(s => assert(s.partitioner == new CellPartitioner(spark.sparkContext.defaultParallelism)))
+    deps.foreach(s => assert(s.partitioner == new HashPartitioner(spark.sparkContext.defaultParallelism)))
   }
 
   /** What `body` starts, counted by job group. */
@@ -186,40 +192,10 @@ class PlanShapeSpec extends SparkSpec with Eventually {
   }
 
   test("ValueStats.of runs one job and writes no shuffle bytes") {
-    val sc = spark.sparkContext
-    val group = "plan-shape-value-stats"
-    val jobs = new AtomicLong
-    val drained = new AtomicLong
-    val shuffleBytes = new AtomicLong
-    val sentinel = ConcurrentHashMap.newKeySet[Int]()
-    val stages = ConcurrentHashMap.newKeySet[Int]()
-    val listener = new SparkListener {
-      private def groupOf(e: SparkListenerJobStart) =
-        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (groupOf(e) == group) {
-          jobs.incrementAndGet()
-          e.stageIds.foreach(stages.add)
-        } else if (groupOf(e) == s"$group-sentinel") sentinel.add(e.jobId)
-      override def onJobEnd(e: SparkListenerJobEnd): Unit =
-        if (sentinel.contains(e.jobId)) drained.incrementAndGet()
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        if (stages.contains(e.stageId) && e.taskMetrics != null)
-          shuffleBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup(group, "ValueStats.of")
-      val stats = try ValueStats.of(pts) finally sc.clearJobGroup()
-      assert(stats.total == 500)
-      // Events arrive in order: once a later job's end is seen, every event
-      // of the call has been.
-      sc.setJobGroup(s"$group-sentinel", "listener drain")
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      eventually(timeout(Span(30, Seconds))) { assert(drained.get == 1) }
-      assert(jobs.get == 1)
-      assert(shuffleBytes.get == 0)
-    } finally sc.removeSparkListener(listener)
+    var stats: ValueStats = null
+    val usage = usageOf { stats = ValueStats.of(pts) }
+    assert(stats.total == 500)
+    assert(usage.jobs == 1 && usage.writing == 0, usage)
   }
 
   test("on a 16-partition input, a clean runs 1 job, one task per core at most") {

@@ -97,9 +97,9 @@ class RangeJoinSpec extends SparkSpec {
 
   /** Each point's copies in `RangeJoin.cells`: its cells and its probe cells. */
   private def copiesOf(pts: Seq[TestPoints.Pt], d: Double) =
-    RangeJoin.cells(TestPoints.df(spark, pts), d).copies.collect().toSeq
-      .collect { case (cell, c: Copy) => (cell.asInstanceOf[(Long, Long)], c) }.groupBy(_._2.id).map { case (id, cs) =>
-      id -> (cs.map(_._1).toSet, cs.filter(_._2.probe).map(_._1))
+    RangeJoin.cells(TestPoints.df(spark, pts), d).blocks.values.collect().toSeq.flatMap(TestBlocks.copiesOf)
+      .groupBy(_.id).map { case (id, cs) =>
+      id -> (cs.map(c => (c.cx, c.cy)).toSet, cs.filter(_.probe).map(c => (c.cx, c.cy)))
     }
 
   test("range join copies each point into the cells of side 2d that its span reaches, one of them its probe") {

@@ -51,15 +51,16 @@ class ScanSpec extends SparkSpec {
       assert(doubleToRawLongBits(r.getDouble(2)) == doubleToRawLongBits(r.getDouble(3)), s"${r.getLong(0)}, ${r.getLong(1)}")
   }
 
-  private def copy(cell: (Long, Long), id: Long, value: String, probe: Boolean = true): (Any, JoinRecord) =
-    cell -> Copy(id, id * 0.5, -id * 0.25, value, probe)
+  private def copy(cell: (Long, Long), id: Long, value: String, probe: Boolean = true) =
+    TestCopy(cell._1, cell._2, id, id * 0.5, -id * 0.25, value, probe)
 
   test("values are coded by their index in the merged tally's sorted values, null as -1") {
     val tallies = Seq(Tally(0, 3, 0, 1, 0, 1, Map("zeta" -> 2L, "alpha" -> 1L), null),
                       Tally(1, 2, 0, 1, 0, 1, Map("mid" -> 1L, "alpha" -> 1L), null))
-    val records = Seq(copy((1, 1), 4, "mid"), 0 -> tallies(0), copy((1, 1), 2, null), copy((0, 1), 3, "zeta"),
-                      copy((1, 1), 9, "alpha", probe = false), 0 -> tallies(1), copy((0, 1), 1, "alpha"))
-    val scan = new Scan(records.iterator, _ => true, _ => 1.0)
+    val blocks = Seq(TestBlocks.block(Seq(copy((1, 1), 2, null), copy((0, 1), 3, "zeta"),
+                                          copy((1, 1), 9, "alpha", probe = false)), tallies(0)),
+                     TestBlocks.block(Seq(copy((1, 1), 4, "mid"), copy((0, 1), 1, "alpha")), tallies(1)))
+    val scan = new Scan(blocks.iterator, _ => true, _ => 1.0)
     assert(scan.names.toSeq == Seq("alpha", "mid", "zeta"))
     assert(scan.tally == Tally.merge(tallies))
     val seen = scan.probes.map(a => (a.id, a.code, a.value, List.tabulate(a.size)(i => (a.nbId(i), a.nbCode(i))))).toList
@@ -67,17 +68,21 @@ class ScanSpec extends SparkSpec {
                         (2L, -1, null, List((4L, 1), (9L, 0))), (4L, 1, "mid", List((2L, -1), (9L, 0)))))
   }
 
-  test("a task of many read chunks gives each probe its cell's copies within d, in id order") {
+  test("a task of many blocks gives each probe its cell's copies within d, in id order") {
     val rng = new scala.util.Random(5)
     val copies = (0 until 10000).map { i =>
-      val c = (rng.nextInt(4) - 2L, rng.nextInt(4) - 2L)
-      c -> Copy(rng.nextLong(), rng.nextDouble() * 10, rng.nextDouble() * 10, Seq("a", "b", null)(i % 3),
-                rng.nextInt(3) == 0)
+      TestCopy(rng.nextInt(4) - 2L, rng.nextInt(4) - 2L, rng.nextLong(), rng.nextDouble() * 10, rng.nextDouble() * 10,
+               Seq("a", "b", null)(i % 3), rng.nextInt(3) == 0)
     }
-    val scan = new Scan(copies.iterator, _ < 1.5, _ => 1.0)
+    // Blocks of unequal sizes, one of them empty.
+    val blocks = Seq(0, 1, 1, 2500, 4096, 7000, 10000).sliding(2).zipWithIndex.map { case (Seq(from, to), part) =>
+      val cs = copies.slice(from, to)
+      TestBlocks.block(cs, TestBlocks.tallyOf(part, cs))
+    }.toSeq
+    val scan = new Scan(blocks.iterator, _ < 1.5, _ => 1.0)
     val seen = scan.probes.map(a => a.id -> List.tabulate(a.size)(a.nbId)).toMap
-    val want = copies.groupBy(_._1).values.flatMap { run =>
-      run.map(_._2).filter(_.probe).map(a => a.id -> run.map(_._2).filter { b =>
+    val want = copies.groupBy(c => (c.cx, c.cy)).values.flatMap { run =>
+      run.filter(_.probe).map(a => a.id -> run.filter { b =>
         b.id != a.id && math.sqrt(math.pow(a.x - b.x, 2) + math.pow(a.y - b.y, 2)) < 1.5
       }.map(_.id).sorted.toList)
     }.toMap
@@ -85,18 +90,47 @@ class ScanSpec extends SparkSpec {
     assert(want.values.map(_.size).sum > 10000)
   }
 
+  test("building a scan from 4 blocks allocates no more than its columns, permutation and merge buffer") {
+    val rng = new scala.util.Random(8)
+    val values = (0 until 20).map(v => s"value $v") :+ null
+    val blocks = (0 until 4).map { part =>
+      val cs = (0 until 25000).map(i => TestCopy(rng.nextInt(8), rng.nextInt(8), part * 100000L + i,
+                                                   rng.nextDouble(), rng.nextDouble(), values(rng.nextInt(21)),
+                                                   rng.nextBoolean()))
+      TestBlocks.block(cs, TestBlocks.tallyOf(part, cs))
+    }
+    val n = blocks.map(_.id.length).sum
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    def build(): (Scan, Long) = {
+      val before = bean.getCurrentThreadAllocatedBytes
+      val scan = new Scan(blocks.iterator, _ < 0.1, _ => 1.0)
+      (scan, bean.getCurrentThreadAllocatedBytes - before)
+    }
+    build()
+    val (scan, allocated) = build()
+    val runs = scan.runStart.length - 1
+    assert(scan.ids.length == n && runs == 64)
+    // The concatenated columns (cx, cy, id, x, y: 8 bytes each; code 4;
+    // probe 1), the permutation and its merge buffer (4 each), the ordered
+    // columns (id, x, y, code, probe: 29), the two hit buffers (12 per copy
+    // of the longest run), and the run starts' builder (at most 20 per run).
+    val arrays = 45L * n + 8L * n + 29L * n + 12L * scan.maxRun + 20L * runs
+    info(s"$allocated bytes allocated for $n copies; the arrays take $arrays")
+    assert(allocated <= arrays + 64 * 1024, s"$allocated bytes for $n copies, arrays $arrays")
+  }
+
   test("the loop allocates well under a byte per tested pair, and a few bytes per probe, on a co-location hotspot") {
     val m = 3000
     val values = Seq("a", "b", null, "c")
-    val copies = (0 until m).map(i => (4L, -7L) -> Copy(i * 7919L - 50000, 12.5, -4.25, values(i % 4), probe = true))
-    val counts = values.filter(_ != null).map(v => v -> copies.count(_._2.value == v).toLong).toMap
-    val records: Seq[(Any, JoinRecord)] = copies :+ (0 -> Tally(0, m, 12.5, 12.5, -4.25, -4.25, counts, null))
+    val copies = (0 until m).map(i => TestCopy(4L, -7L, i * 7919L - 50000, 12.5, -4.25, values(i % 4), probe = true))
+    val counts = values.filter(_ != null).map(v => v -> copies.count(_.value == v).toLong).toMap
+    val block = TestBlocks.block(copies, Tally(0, m, 12.5, 12.5, -4.25, -4.25, counts, null))
     val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
     /** The loop with the clean's histogram, over every probe, and the bytes
       * it allocates once the scan and the histogram are built.
       */
     def run(): (Long, Long, Double, Long) = {
-      val scan = new Scan(records.iterator, _ < 10.0, dist => 1.0 - dist / 10.0)
+      val scan = new Scan(Iterator(block), _ < 10.0, dist => 1.0 - dist / 10.0)
       val hist = new Histogram(scan.names)
       val before = bean.getCurrentThreadAllocatedBytes
       var tested, probes = 0L
